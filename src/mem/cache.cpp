@@ -19,54 +19,59 @@ inline bool key_less(const Replica& a, const Replica& b) {
 
 }  // namespace
 
-XKB_HOT void DeviceCache::link_sorted(DataHandle* h, From hint) {
-  Replica& r = h->dev[device_];
+XKB_HOT void DeviceCache::link_sorted(Replica& r) {
   const int cls = class_of(r);
   LruList& l = lists_[cls];
-  // Find `after`: the rightmost entry with a key below r's.  Both walks land
-  // on the same node; the hint only picks the end the key is expected to be
-  // near, so the common cases (touch to MRU, reserve of a long-cold replica)
-  // stay O(1).
-  DataHandle* after;
-  if (hint == From::kTail) {
-    after = l.tail;
-    while (after && key_less(r, after->dev[device_]))
-      after = after->dev[device_].lru_prev;
-  } else {
-    DataHandle* before = l.head;
-    while (before && !key_less(r, before->dev[device_]))
-      before = before->dev[device_].lru_next;
-    after = before ? before->dev[device_].lru_prev : l.tail;
+  // Find `after`: the rightmost entry with a key below r's (keys are
+  // distinct, so the place is unique).  Step inward from both ends in
+  // lockstep and stop on whichever side passes r's key first.  While `after`
+  // still sorts above r, some entry does, so `before` cannot run off the end.
+  Replica* after = l.tail;
+  Replica* before = l.head;
+  while (after && key_less(r, *after)) {
+    if (key_less(r, *before)) {
+      after = before->lru_prev;
+      break;
+    }
+    after = after->lru_prev;
+    before = before->lru_next;
   }
   r.lru_class = static_cast<std::int8_t>(cls);
   r.lru_prev = after;
   if (after) {
-    r.lru_next = after->dev[device_].lru_next;
-    after->dev[device_].lru_next = h;
+    r.lru_next = after->lru_next;
+    after->lru_next = &r;
   } else {
     r.lru_next = l.head;
-    l.head = h;
+    l.head = &r;
   }
   if (r.lru_next)
-    r.lru_next->dev[device_].lru_prev = h;
+    r.lru_next->lru_prev = &r;
   else
-    l.tail = h;
+    l.tail = &r;
 }
 
-XKB_HOT void DeviceCache::unlink(DataHandle* h) {
-  Replica& r = h->dev[device_];
+XKB_HOT void DeviceCache::unlink(Replica& r) {
   assert(r.lru_class >= 0 && "unlinking a replica that is not listed");
   LruList& l = lists_[r.lru_class];
   if (r.lru_prev)
-    r.lru_prev->dev[device_].lru_next = r.lru_next;
+    r.lru_prev->lru_next = r.lru_next;
   else
     l.head = r.lru_next;
   if (r.lru_next)
-    r.lru_next->dev[device_].lru_prev = r.lru_prev;
+    r.lru_next->lru_prev = r.lru_prev;
   else
     l.tail = r.lru_prev;
   r.lru_prev = r.lru_next = nullptr;
   r.lru_class = -1;
+}
+
+XKB_HOT void DeviceCache::drop(Replica& r, std::size_t bytes) {
+  r.resident = false;
+  r.state = ReplicaState::kInvalid;
+  used_ -= bytes;
+  --resident_count_;
+  unlink(r);
 }
 
 XKB_HOT void DeviceCache::touch(DataHandle* h, sim::Time now) {
@@ -74,8 +79,8 @@ XKB_HOT void DeviceCache::touch(DataHandle* h, sim::Time now) {
   Replica& r = h->dev[device_];
   r.last_use = now;
   if (r.lru_class < 0) return;  // not resident: stamp only
-  unlink(h);
-  link_sorted(h, From::kTail);
+  unlink(r);
+  link_sorted(r);
 }
 
 XKB_HOT void DeviceCache::set_dirty(DataHandle* h, bool dirty) {
@@ -85,9 +90,9 @@ XKB_HOT void DeviceCache::set_dirty(DataHandle* h, bool dirty) {
     r.dirty = dirty;
     return;
   }
-  unlink(h);
+  unlink(r);
   r.dirty = dirty;
-  link_sorted(h, From::kTail);
+  link_sorted(r);
 }
 
 XKB_HOT DeviceCache::Reservation DeviceCache::reserve(DataHandle* h) {
@@ -98,59 +103,52 @@ XKB_HOT DeviceCache::Reservation DeviceCache::reserve(DataHandle* h) {
 
   const std::size_t need = h->bytes();
   if (used_ + need > capacity_) {
-    auto evict_one = [&](DataHandle* v, bool is_dirty) {
-      Replica& vr = v->dev[device_];
-      vr.state = ReplicaState::kInvalid;
-      vr.resident = false;
-      used_ -= v->bytes();
-      ++evictions_;
-      --resident_count_;
-      unlink(v);
-      if (!v->dev_buf.empty()) {
-        // Dirty functional buffers are kept alive by the caller until the
-        // flush copies them out; clean buffers can be dropped now.
-        if (!is_dirty) {
-          v->dev_buf[device_].clear();
-          v->dev_buf[device_].shrink_to_fit();
-        }
-      }
-      (is_dirty ? out.dirty_evicted : out.clean_evicted).push_back(v);
-    };
-
-    // Walk each class list from its LRU end, skipping residents that are
-    // pinned or in flight.  kReadOnlyFirst drains the clean list before the
-    // dirty one; under kLru every resident lives in the "clean" list and
-    // dirtiness is checked per victim (a dirty victim's flush is still the
-    // caller's job).
+    // Pick the victims before changing anything, so a reservation that
+    // cannot fit leaves every replica as it was.  Walk each class list from
+    // its LRU end, skipping residents that are pinned or in flight.
+    // kReadOnlyFirst drains the clean list before the dirty one; under kLru
+    // every resident lives in the "clean" list and dirtiness is checked per
+    // victim (a dirty victim's flush is still the caller's job).
+    victims_.clear();
+    std::size_t freed = 0;
     for (int cls : {kClean, kDirty}) {
-      DataHandle* v = lists_[cls].head;
-      while (v && used_ + need > capacity_) {
-        DataHandle* next = v->dev[device_].lru_next;
-        Replica& vr = v->dev[device_];
-        if (vr.pins == 0 && vr.state != ReplicaState::kInFlight) {
-          const bool is_dirty = vr.dirty;
-          assert((cls == kClean || is_dirty) &&
-                 "clean replica linked on the dirty list");
-          assert((policy_ == EvictionPolicy::kLru || cls == kDirty ||
-                  !is_dirty) &&
-                 "dirty replica linked on the clean list: set_dirty bypassed");
-          if (is_dirty) vr.dirty = false;  // caller flushes it to host
-          evict_one(v, is_dirty);
+      for (Replica* v = lists_[cls].head;
+           v && used_ - freed + need > capacity_; v = v->lru_next) {
+        assert(v->lru_class == class_of(*v) &&
+               "replica on the wrong victim list: set_dirty bypassed");
+        if (v->pins == 0 && v->state != ReplicaState::kInFlight) {
+          victims_.push_back(v);
+          freed += v->lru_owner->bytes();
         }
-        v = next;
       }
     }
-    if (used_ + need > capacity_) throw OutOfDeviceMemory(device_);
+    if (used_ - freed + need > capacity_) throw OutOfDeviceMemory(device_);
+
+    for (Replica* v : victims_) {
+      DataHandle* vh = v->lru_owner;
+      const bool is_dirty = v->dirty;
+      v->dirty = false;  // a dirty victim is flushed to host by the caller
+      drop(*v, vh->bytes());
+      ++evictions_;
+      // Dirty functional buffers are kept alive by the caller until the
+      // flush copies them out; clean buffers can be dropped now.
+      if (!is_dirty && !vh->dev_buf.empty()) {
+        vh->dev_buf[device_].clear();
+        vh->dev_buf[device_].shrink_to_fit();
+      }
+      (is_dirty ? out.dirty_evicted : out.clean_evicted).push_back(vh);
+    }
   }
 
   used_ += need;
   r.resident = true;
   ++resident_count_;
+  r.lru_owner = h;
   r.lru_seq = next_seq_++;
   // A replica re-entering the cache keeps the last_use of its previous life
-  // (exactly like the historical resort-everything scan saw it), which puts
-  // it near the LRU end until its arrival touch().
-  link_sorted(h, From::kHead);
+  // (exactly like the historical resort-everything scan saw it), which may
+  // sort it anywhere in the list until its arrival touch().
+  link_sorted(r);
   return out;
 }
 
@@ -159,12 +157,14 @@ XKB_HOT void DeviceCache::release(DataHandle* h) {
   if (!r.resident) return;
   assert(!r.dirty &&
          "releasing a dirty replica discards its bytes; flush it to the host "
-         "(or clear the bit when a newer version supersedes it) first");
-  r.resident = false;
-  r.state = ReplicaState::kInvalid;
-  used_ -= h->bytes();
-  --resident_count_;
-  unlink(h);
+         "(or supersede() it when a newer version replaces it) first");
+  drop(r, h->bytes());
+}
+
+XKB_HOT void DeviceCache::supersede(DataHandle* h) {
+  // Clearing the bit without a relink is safe: unlink() goes by lru_class.
+  h->dev[device_].dirty = false;
+  release(h);
 }
 
 }  // namespace xkb::mem

@@ -9,9 +9,12 @@
 // of two per-cache LRU lists (clean / dirty; a single list under kLru),
 // ordered by (last_use, residency sequence).  That is the same victim order
 // the historical implementation produced by sorting all residents on every
-// reservation, but touch, removal and class changes are now O(1) amortized
-// and eviction is O(victims + skipped pinned/in-flight residents) instead of
-// O(residents log residents) per reservation under memory pressure.
+// reservation.  Keeping a list sorted costs one walk per relink, which
+// starts from both list ends at once: at most the distance to the nearer
+// end, and O(1) for the common cases (a touch, a write stamped before it is
+// dirtied, a long-cold replica re-entering).  Eviction is O(victims +
+// skipped pinned/in-flight residents) instead of O(residents log residents)
+// per reservation under memory pressure.
 #pragma once
 
 #include <cstddef>
@@ -53,8 +56,9 @@ class DeviceCache {
 
   /// Reserve room for `h` on this device, evicting victims if needed.
   /// Victims are returned so the caller (DataManager) can flush dirty ones;
-  /// clean victims are already invalidated.  Throws OutOfDeviceMemory when
-  /// pinned data alone exceeds capacity.
+  /// clean victims are already invalidated.  Throws OutOfDeviceMemory, and
+  /// then changes nothing, when the unpinned, settled residents cannot free
+  /// enough room.
   struct Reservation {
     std::vector<DataHandle*> clean_evicted;  ///< dropped, no flush needed
     std::vector<DataHandle*> dirty_evicted;  ///< caller must flush to host
@@ -62,21 +66,27 @@ class DeviceCache {
   Reservation reserve(DataHandle* h);
 
   /// Release the reservation (replica no longer resident).  The replica must
-  /// be clean: releasing a dirty replica would silently discard its bytes --
-  /// callers that intend to supersede a dirty copy (a newer version exists)
-  /// clear the dirty bit first; everything else must go through the flush
-  /// path.
+  /// be clean: releasing a dirty replica would silently discard its bytes, so
+  /// a dirty copy goes through the flush path, or through supersede() when a
+  /// newer version replaces it.
   void release(DataHandle* h);
 
-  /// Record a use of the resident replica: stamps `last_use = now` and moves
-  /// the replica to the MRU end of its victim list.  O(1) amortized (walks
-  /// only same-timestamp entries).  Safe on non-resident replicas (stamps
-  /// last_use only).
+  /// Drop a copy that a newer version replaces: clears the dirty bit and, if
+  /// the replica is resident, releases it.  O(1): one unlink.
+  void supersede(DataHandle* h);
+
+  /// Record a use of the resident replica: stamps `last_use = now` and
+  /// relinks it.  Simulated time is monotonic, so the replica lands at the
+  /// MRU end of its victim list past same-timestamp entries only: O(1)
+  /// amortized.  Safe on non-resident replicas (stamps last_use only).
   void touch(DataHandle* h, sim::Time now);
 
   /// Flip the replica's dirty bit, re-homing it between the clean and dirty
   /// victim lists under kReadOnlyFirst.  All dirty-bit changes of a resident
-  /// replica must go through here so the class lists stay truthful.
+  /// replica must go through here so the class lists stay truthful.  The
+  /// relink keeps last_use, so a writer stamps first -- touch(h, now), then
+  /// set_dirty(h, true) -- and lands at the MRU end in O(1); a stale stamp
+  /// would walk to its place in the middle of the dirty list.
   void set_dirty(DataHandle* h, bool dirty);
 
   /// Number of distinct resident handles.
@@ -90,26 +100,21 @@ class DeviceCache {
   static constexpr int kDirty = 1;
 
   struct LruList {
-    DataHandle* head = nullptr;  ///< least recently used
-    DataHandle* tail = nullptr;  ///< most recently used
+    Replica* head = nullptr;  ///< least recently used
+    Replica* tail = nullptr;  ///< most recently used
   };
 
   int class_of(const Replica& r) const {
     return (policy_ == EvictionPolicy::kReadOnlyFirst && r.dirty) ? kDirty
                                                                   : kClean;
   }
-  /// Which end of the list link_sorted() starts its walk from.  The sorted
-  /// position is unique either way ((last_use, lru_seq) keys are distinct);
-  /// the hint only decides which end is O(1): kTail for freshly-touched
-  /// replicas (key near the MRU end), kHead for newly-reserved replicas,
-  /// whose stale last_use from before their last eviction sorts them near
-  /// the LRU end.
-  enum class From { kHead, kTail };
 
   /// Insert into its class list at the position sorted by (last_use,
-  /// lru_seq), walking from the hinted end.
-  void link_sorted(DataHandle* h, From hint);
-  void unlink(DataHandle* h);
+  /// lru_seq), walking inward from both ends.
+  void link_sorted(Replica& r);
+  void unlink(Replica& r);
+  /// Un-account a resident replica of `bytes` and invalidate it.
+  void drop(Replica& r, std::size_t bytes);
 
   int device_;
   std::size_t capacity_;
@@ -119,6 +124,7 @@ class DeviceCache {
   std::size_t resident_count_ = 0;
   std::uint64_t next_seq_ = 0;
   LruList lists_[2];
+  std::vector<Replica*> victims_;  ///< reserve() scratch, reused
 };
 
 }  // namespace xkb::mem

@@ -84,8 +84,11 @@ struct Replica {
   // keeps one doubly-linked list per victim class (clean/dirty) ordered by
   // (last_use, lru_seq), which is exactly the victim order of the historical
   // sort-based scan: ascending LRU stamp, ties broken by residency order.
-  DataHandle* lru_prev = nullptr;
-  DataHandle* lru_next = nullptr;
+  // The links point at the neighbouring Replica itself, so a list walk is
+  // one pointer load per hop; lru_owner is the handle eviction reports.
+  Replica* lru_prev = nullptr;
+  Replica* lru_next = nullptr;
+  DataHandle* lru_owner = nullptr;  ///< handle holding this replica (reserve())
   std::uint64_t lru_seq = 0;  ///< residency order, assigned at reserve()
   std::int8_t lru_class = -1; ///< DeviceCache list index, -1 when unlinked
 };
@@ -98,8 +101,8 @@ struct Replica {
 /// (kInvalid, clean, unpinned), so reads of untouched devices go through the
 /// const accessors and observe exactly what the dense table held.
 ///
-/// Entries are never erased: the intrusive LRU pointers inside a Replica are
-/// linked into DeviceCache lists, and std::map's stable node addresses are
+/// Entries are never erased: DeviceCache lists link Replica entries of
+/// different handles to each other, and std::map's stable node addresses are
 /// what make those links (and the `Replica&` references held across engine
 /// callbacks) safe.  "Active" therefore means ever-touched, which is bounded
 /// by the devices a tile actually visited -- the O(active) the topo_bench

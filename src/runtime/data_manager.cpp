@@ -484,17 +484,12 @@ void DataManager::mark_written(mem::DataHandle* h, int dev) {
       }
       assert(false && "write raced an in-flight replica: dependency bug");
     }
-    // A dirty peer replica is intentionally superseded by the new version:
-    // clear the bit before release (which refuses dirty replicas, since
-    // anywhere else that would silently discard unsaved bytes).
-    plat_->cache(g).set_dirty(h, false);
-    if (o.resident) {
-      plat_->cache(g).release(h);
-      if (!h->dev_buf.empty()) {
-        h->dev_buf[g].clear();
-        h->dev_buf[g].shrink_to_fit();
-      }
+    // The new version supersedes every peer copy, a dirty one included.
+    if (o.resident && !h->dev_buf.empty()) {
+      h->dev_buf[g].clear();
+      h->dev_buf[g].shrink_to_fit();
     }
+    plat_->cache(g).supersede(h);
   }
   h->version++;
   bool reflush_host = false;
@@ -521,8 +516,10 @@ void DataManager::mark_written(mem::DataHandle* h, int dev) {
   r.fetch_src = mem::kFetchIdle;
   r.fetch_waiting = false;
   r.fetch_attempts = 0;
-  plat_->cache(dev).set_dirty(h, true);
+  // Stamp before dirtying: the relink into the dirty list then lands at its
+  // MRU end instead of walking to the writer's stale stamp.
   plat_->cache(dev).touch(h, plat_->engine().now());
+  plat_->cache(dev).set_dirty(h, true);
   if (check::Checker* c = plat_->checker())
     c->on_mark_written(h, dev, plat_->engine().now());
   replay_pending_.erase(h);
@@ -551,16 +548,12 @@ void DataManager::host_write(mem::DataHandle* h) {
       }
       assert(false && "host write raced a device transfer: dependency bug");
     }
-    // The CPU's new bytes supersede any dirty device copy: clear the bit
-    // before release so the intentional discard is explicit.
-    plat_->cache(g).set_dirty(h, false);
-    if (r.resident) {
-      plat_->cache(g).release(h);
-      if (!h->dev_buf.empty()) {
-        h->dev_buf[g].clear();
-        h->dev_buf[g].shrink_to_fit();
-      }
+    // The CPU's new bytes supersede every device copy, a dirty one included.
+    if (r.resident && !h->dev_buf.empty()) {
+      h->dev_buf[g].clear();
+      h->dev_buf[g].shrink_to_fit();
     }
+    plat_->cache(g).supersede(h);
   }
   h->host.state = mem::ReplicaState::kValid;
   h->host.fetch_src = mem::kFetchIdle;  // any aborted flush is superseded
@@ -789,8 +782,7 @@ void DataManager::on_device_failure(
     const bool was_valid = r.state == mem::ReplicaState::kValid;
     const bool was_dirty = r.dirty;
     if (r.resident) {
-      plat_->cache(g).set_dirty(h, false);
-      plat_->cache(g).release(h);
+      plat_->cache(g).supersede(h);
       if (!h->dev_buf.empty()) {
         h->dev_buf[g].clear();
         h->dev_buf[g].shrink_to_fit();

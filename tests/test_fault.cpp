@@ -396,7 +396,7 @@ struct FaultFixture {
   Runtime runtime;
 };
 
-double bufA[64], bufB[64], bufC[64];
+double bufA[64], bufC[64];
 
 TaskDesc work(mem::DataHandle* h, Access mode, int dev, const char* label) {
   TaskDesc d;

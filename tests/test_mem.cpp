@@ -166,6 +166,37 @@ TEST_F(CacheTest, OversizedReservationThrows) {
   EXPECT_THROW(c.reserve(tile(0)), OutOfDeviceMemory);
 }
 
+TEST_F(CacheTest, FailedReserveHasNoSideEffects) {
+  // Two pinned tiles and one dirty, evictable tile fill the cache.  Evicting
+  // the dirty tile alone cannot make room for a double-size tile, so the
+  // reservation must throw without touching it: an eviction would clear its
+  // dirty bit and the caller, seeing only the exception, would never flush.
+  DeviceCache c(0, 1536);
+  DataHandle *p0 = tile(0), *p1 = tile(1), *dirty = tile(2);
+  for (DataHandle* h : {p0, p1, dirty}) {
+    c.reserve(h);
+    h->dev[0].state = ReplicaState::kValid;
+  }
+  p0->dev[0].pins = 1;
+  p1->dev[0].pins = 1;
+  c.set_dirty(dirty, true);
+  DataHandle* big = reg_.intern(buf + 64 * 3, 16, 8, 512, sizeof(double));
+  ASSERT_EQ(big->bytes(), 1024u);
+
+  EXPECT_THROW(c.reserve(big), OutOfDeviceMemory);
+  EXPECT_TRUE(dirty->dev[0].resident);
+  EXPECT_EQ(dirty->dev[0].state, ReplicaState::kValid);
+  EXPECT_TRUE(dirty->dev[0].dirty);
+  EXPECT_EQ(c.evictions(), 0u);
+  EXPECT_EQ(c.used(), 1536u);
+
+  // Once one tile is unpinned, the same reservation fits.
+  p0->dev[0].pins = 0;
+  auto res = c.reserve(big);
+  EXPECT_EQ(res.clean_evicted, (std::vector<DataHandle*>{p0}));
+  EXPECT_EQ(res.dirty_evicted, (std::vector<DataHandle*>{dirty}));
+}
+
 }  // namespace
 }  // namespace xkb::mem
 
@@ -267,16 +298,20 @@ class LruEquivalenceTest : public ::testing::TestWithParam<EvictionPolicy> {};
 
 TEST_P(LruEquivalenceTest, RandomOpSequenceMatchesLegacyVictimOrder) {
   // Drive the same randomized reserve/touch/set_dirty/pin/in-flight/release
-  // sequence through the intrusive cache and the legacy model; every
-  // reservation must evict the same victims in the same order.
-  constexpr int kTiles = 48;
+  // sequence, plus DataManager's write path (touch, then set dirty),
+  // supersede and release + re-reserve, through the intrusive cache and the
+  // legacy model; every reservation must evict the same victims in the same
+  // order.  With 96 of 256 tiles resident, stale stamps sort deep inside the
+  // lists, so the two ends of a relink walk meet mid-list.
+  constexpr int kTiles = 256;
   constexpr std::size_t kTileBytes = 8 * 8 * sizeof(double);
+  constexpr std::size_t kCapacity = 96 * kTileBytes;
   static double backing[kTiles * 64];
 
   const EvictionPolicy policy = GetParam();
   Registry reg(1);
-  DeviceCache cache(0, 20 * kTileBytes, policy);
-  LegacySortCache legacy(20 * kTileBytes, policy, kTiles);
+  DeviceCache cache(0, kCapacity, policy);
+  LegacySortCache legacy(kCapacity, policy, kTiles);
   std::vector<DataHandle*> hs;
   std::unordered_map<DataHandle*, int> idx;
   for (int i = 0; i < kTiles; ++i) {
@@ -285,11 +320,18 @@ TEST_P(LruEquivalenceTest, RandomOpSequenceMatchesLegacyVictimOrder) {
   }
 
   Rng rng(20210817);
-  for (int step = 0; step < 4000; ++step) {
+  for (int step = 0; step < 20000; ++step) {
     const int i = static_cast<int>(rng.next_below(kTiles));
     Replica& r = hs[i]->dev[0];
     LegacySortCache::Rep& lr = legacy.rep(i);
-    switch (rng.next_below(10)) {
+    switch (rng.next_below(13)) {
+      case 10:  // release, then re-reserve below: the stale last_use of a
+                // clean replica sorts it back into the middle of its list
+        if (lr.dirty) break;
+        cache.release(hs[i]);
+        legacy.release(i);
+        lr.inflight = false;
+        [[fallthrough]];
       case 0:
       case 1:
       case 2:
@@ -343,6 +385,21 @@ TEST_P(LruEquivalenceTest, RandomOpSequenceMatchesLegacyVictimOrder) {
           legacy.release(i);
           lr.inflight = false;
         }
+        break;
+      }
+      case 11: {  // write path: stamp first, then dirty
+        const double t = static_cast<double>(step / 3);
+        cache.touch(hs[i], t);
+        cache.set_dirty(hs[i], true);
+        lr.last_use = t;
+        lr.dirty = true;
+        break;
+      }
+      case 12: {  // a newer version supersedes this copy, dirty or not
+        cache.supersede(hs[i]);
+        legacy.release(i);
+        lr.dirty = false;
+        lr.inflight = false;
         break;
       }
     }
@@ -442,8 +499,10 @@ TEST(IntrusiveLru, ReleaseRefusesDirtyReplica) {
 #ifndef NDEBUG
   EXPECT_DEATH_IF_SUPPORTED(c.release(h), "dirty");
 #endif
-  c.set_dirty(h, false);
-  c.release(h);  // clean release is fine
+  c.supersede(h);  // a newer version replaces the dirty bytes
+  EXPECT_FALSE(h->dev[0].dirty);
+  EXPECT_FALSE(h->dev[0].resident);
+  EXPECT_EQ(h->dev[0].state, ReplicaState::kInvalid);
   EXPECT_EQ(c.used(), 0u);
 }
 
