@@ -10,24 +10,6 @@
 using namespace xkb;
 using namespace xkb::baselines;
 
-namespace {
-
-BenchResult run_spec(ModelSpec spec, const BenchConfig& cfg) {
-  return run_with_spec(spec, cfg);
-}
-
-ModelSpec xkblas_spec() {
-  ModelSpec s;
-  s.name = "XKBlas";
-  s.heur = rt::HeuristicConfig::xkblas();
-  s.task_overhead = 3e-6;
-  s.prepare_window = 16;
-  s.call_overhead = 1e-3;
-  return s;
-}
-
-}  // namespace
-
 int main() {
   std::printf("== Extension: runtime design ablations (FP64, DGX-1) ==\n\n");
 
@@ -39,9 +21,10 @@ int main() {
   {
     Table t({"prepare window", "GEMM TFlop/s"});
     for (int w : {1, 2, 4, 8, 16, 32}) {
-      ModelSpec s = xkblas_spec();
+      ModelSpec s = spec_for_library("xkblas");
       s.prepare_window = w;
-      t.add_row({std::to_string(w), Table::num(run_spec(s, gemm).tflops, 2)});
+      t.add_row({std::to_string(w),
+                 Table::num(LibraryModel(s).run(gemm).tflops, 2)});
     }
     std::printf("Prefetch window depth (N=24576):\n%s\n", t.to_text().c_str());
   }
@@ -53,9 +36,9 @@ int main() {
     cfg.n = 49152;
     cfg.tile = 2048;
     for (bool stealing : {true, false}) {
-      ModelSpec s = xkblas_spec();
+      ModelSpec s = spec_for_library("xkblas");
       s.stealing = stealing;
-      const BenchResult r = run_spec(s, cfg);
+      const BenchResult r = LibraryModel(s).run(cfg);
       double kmin = 1e30, kmax = 0.0;
       for (const auto& b : r.per_gpu) {
         kmin = std::min(kmin, b.kernel);
@@ -74,8 +57,8 @@ int main() {
       BenchConfig cfg = gemm;
       cfg.n = 32768;  // 3 x 8 GB of operands, ~7 GB live set per GPU
       cfg.device_capacity = static_cast<std::size_t>(gb * (1ull << 30));
-      ModelSpec s = xkblas_spec();
-      const BenchResult r = run_spec(s, cfg);
+      const BenchResult r =
+          LibraryModel(spec_for_library("xkblas")).run(cfg);
       t.add_row({Table::num(gb, 0) + " GB",
                  r.failed ? "FAIL" : Table::num(r.tflops, 2),
                  std::to_string(r.transfers.evict_flushes)});
@@ -93,9 +76,9 @@ int main() {
       BenchConfig cfg = gemm;
       cfg.n = 32768;
       cfg.device_capacity = 2ull << 30;
-      ModelSpec s = xkblas_spec();
+      ModelSpec s = spec_for_library("xkblas");
       s.eviction = pol;
-      const BenchResult r = run_spec(s, cfg);
+      const BenchResult r = LibraryModel(s).run(cfg);
       t.add_row({pol == mem::EvictionPolicy::kReadOnlyFirst
                      ? "read-only first (XKaapi)"
                      : "plain LRU",
@@ -112,10 +95,10 @@ int main() {
     cfg.n = 8192;
     cfg.tile = 512;  // 4096 small tasks: overhead-sensitive regime
     for (double ov : {0.0, 3e-6, 20e-6, 100e-6}) {
-      ModelSpec s = xkblas_spec();
+      ModelSpec s = spec_for_library("xkblas");
       s.task_overhead = ov;
       t.add_row({Table::num(ov * 1e6, 0) + " us",
-                 Table::num(run_spec(s, cfg).tflops, 2)});
+                 Table::num(LibraryModel(s).run(cfg).tflops, 2)});
     }
     std::printf("Runtime overhead sensitivity (small matrices):\n%s\n",
                 t.to_text().c_str());

@@ -15,49 +15,33 @@ using namespace xkb::baselines;
 namespace {
 
 double run_potrf(const ModelSpec& spec, std::size_t n, std::size_t tile) {
-  rt::PerfModel perf;
-  rt::Platform plat(topo::Topology::dgx1(), perf, {});
-  rt::RuntimeOptions ropt;
-  ropt.heuristics = spec.heur;
-  ropt.task_overhead = spec.task_overhead;
-  ropt.prepare_window = spec.prepare_window;
-  std::unique_ptr<rt::Scheduler> sched;
-  if (spec.dmdas)
-    sched = std::make_unique<rt::DmdasScheduler>();
-  else
-    sched = std::make_unique<rt::OwnerComputesScheduler>(spec.stealing);
-  rt::Runtime runtime(plat, std::move(sched), ropt);
-
-  SymbolicMatrix<double> A(n, n, 0);
-  blas::EmitOptions emit;
-  emit.tile = tile;
-  emit.attach_functional = false;
-  auto [P, Q] = blas::default_grid(plat.num_gpus());
-  emit.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
+  const auto build = [&](rt::Runtime& runtime) {
+    auto A = std::make_shared<SymbolicMatrix<double>>(n, n, 0);
+    const blas::EmitOptions emit =
+        emit_options(spec, tile, runtime.num_gpus());
+    RoutinePlan plan;
+    plan.emit = [&runtime, A, emit] {
+      MatrixView<double> Av = A->view();
+      blas::tiled_potrf<double>(runtime, Uplo::Lower, Av, emit);
+    };
+    // Results stay on device for the (hypothetical) solve that follows;
+    // bring back the factor like a standalone library call would.
+    plan.coherent = [&runtime, A, n, tile] {
+      MatrixView<const double> Ac = A->cview();
+      for (std::size_t i = 0; i < n; i += tile)
+        for (std::size_t j = 0; j <= i; j += tile)
+          runtime.coherent_async(blas::detail::tile_handle(
+              runtime, Ac, i, j, std::min(tile, n - i),
+              std::min(tile, n - j)));
+    };
+    plan.flops = static_cast<double>(n) * n * n / 3.0;
+    return plan;
   };
-  MatrixView<double> Av = A.view();
-  blas::tiled_potrf<double>(runtime, Uplo::Lower, Av, emit);
-  // Results stay on device for the (hypothetical) solve that follows; bring
-  // back the factor like a standalone library call would.
-  MatrixView<const double> Ac = A.cview();
-  for (std::size_t i = 0; i < n; i += tile)
-    for (std::size_t j = 0; j <= i; j += tile)
-      runtime.coherent_async(blas::detail::tile_handle(
-          runtime, Ac, i, j, std::min(tile, n - i), std::min(tile, n - j)));
-  const double t = runtime.run() + spec.call_overhead;
-  const double flops = static_cast<double>(n) * n * n / 3.0;
-  return flops / t / 1e12;
-}
-
-ModelSpec xkblas_spec(rt::HeuristicConfig heur) {
-  ModelSpec s;
-  s.heur = heur;
-  s.task_overhead = 3e-6;
-  s.prepare_window = 16;
-  s.call_overhead = 1e-3;
-  return s;
+  obs::LedgerMeta id;
+  id.routine = "POTRF";
+  id.n = n;
+  id.tile = tile;
+  return run_plan(spec, {}, std::move(id), build).tflops;
 }
 
 }  // namespace
@@ -66,23 +50,17 @@ int main() {
   std::printf(
       "== Extension: tiled Cholesky (DPOTRF) on the simulated DGX-1 ==\n\n");
 
-  ModelSpec cham;
-  cham.dmdas = true;
-  cham.heur = {rt::SourcePolicy::kFirstValid, false};
-  cham.task_overhead = 20e-6;
-  cham.call_overhead = 80e-3;
+  const ModelSpec xkblas = spec_for_library("xkblas");
+  const ModelSpec blind =
+      spec_for_library("xkblas", rt::HeuristicConfig::no_heuristic_no_topo());
+  const ModelSpec cham = spec_for_library("chameleon-tile");
 
   Table t({"N", "XKBlas", "XKBlas no heuristics", "dmdas model"});
   for (std::size_t n : {8192ul, 16384ul, 24576ul, 32768ul, 49152ul}) {
     const std::size_t tile = n >= 32768 ? 2048 : 1024;
-    t.add_row(
-        {std::to_string(n),
-         Table::num(run_potrf(xkblas_spec(rt::HeuristicConfig::xkblas()), n,
-                              tile), 2),
-         Table::num(
-             run_potrf(xkblas_spec(rt::HeuristicConfig::no_heuristic_no_topo()),
-                       n, tile), 2),
-         Table::num(run_potrf(cham, n, tile), 2)});
+    t.add_row({std::to_string(n), Table::num(run_potrf(xkblas, n, tile), 2),
+               Table::num(run_potrf(blind, n, tile), 2),
+               Table::num(run_potrf(cham, n, tile), 2)});
   }
   std::printf("DPOTRF (TFlop/s, lower, data-on-host, factor returned)\n%s\n",
               t.to_text().c_str());

@@ -24,11 +24,7 @@ double run_sgemm(rt::HeuristicConfig heur, std::size_t n, std::size_t tile) {
   blas::EmitOptions emit;
   emit.tile = tile;
   emit.attach_functional = false;
-  auto [P, Q] = blas::default_grid(plat.num_gpus());
-  emit.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
-  };
+  emit.home = blas::block_cyclic(blas::default_grid(plat.num_gpus()));
   blas::tiled_gemm<float>(runtime, Op::NoTrans, Op::NoTrans, 1.0f, A.cview(),
                           B.cview(), 1.0f, C.view(), emit);
   MatrixView<const float> Cc = C.cview();

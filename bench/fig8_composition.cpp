@@ -3,7 +3,6 @@
 // task graph; Chameleon synchronises between the calls.
 #include <cstdio>
 
-#include "baselines/composition.hpp"
 #include "bench_common.hpp"
 
 using namespace xkb;
@@ -14,25 +13,15 @@ int main() {
       "== Fig. 8: composition TRSM + GEMM FP64, block size 2048, 8 GPUs "
       "==\n\n");
 
-  ModelSpec xkblas;
-  xkblas.name = "XKBlas";
-  xkblas.heur = rt::HeuristicConfig::xkblas();
-  xkblas.task_overhead = 3e-6;
-  xkblas.prepare_window = 16;
-  xkblas.call_overhead = 1e-3;
-
-  ModelSpec cham;
-  cham.name = "Chameleon Tile";
-  cham.dmdas = true;
-  cham.heur = {rt::SourcePolicy::kFirstValid, false};
-  cham.task_overhead = 20e-6;
-  cham.call_overhead = 80e-3;
+  const ModelSpec xkblas = spec_for_library("xkblas");
+  const ModelSpec cham = spec_for_library("chameleon-tile");
 
   Table t({"N", "Chameleon Tiled", "XKBlas", "XKBlas/Chameleon"});
   for (std::size_t n : bench::paper_sizes()) {
-    const auto rc = run_trsm_gemm(cham, n, 2048, /*sync_between_calls=*/true);
-    const auto rx = run_trsm_gemm(xkblas, n, 2048,
-                                  /*sync_between_calls=*/false);
+    const BenchResult rc =
+        run_composition(cham, n, 2048, /*sync_between_calls=*/true);
+    const BenchResult rx =
+        run_composition(xkblas, n, 2048, /*sync_between_calls=*/false);
     t.add_row({std::to_string(n), Table::num(rc.tflops, 2),
                Table::num(rx.tflops, 2),
                Table::num(rx.tflops / rc.tflops, 2) + "x"});

@@ -3,7 +3,8 @@
 // the two routine calls; XKBlas composes them without a barrier.
 #include <cstdio>
 
-#include "baselines/composition.hpp"
+#include "baselines/common.hpp"
+#include "trace/gantt.hpp"
 
 using namespace xkb;
 using namespace xkb::baselines;
@@ -13,31 +14,24 @@ int main() {
       "== Fig. 9: Gantt chart of TRSM + GEMM composition (N=32768, block "
       "2048) ==\n\n");
 
-  ModelSpec cham;
-  cham.name = "Chameleon Tile";
-  cham.dmdas = true;
-  cham.heur = {rt::SourcePolicy::kFirstValid, false};
-  cham.task_overhead = 20e-6;
-  cham.call_overhead = 80e-3;
+  RunConfig cfg;
+  cfg.obs.enabled = true;  // keeps the run's trace for the chart
+  const auto gantt = [](const BenchResult& r) {
+    return trace::gantt_ascii(*r.trace, static_cast<int>(r.per_gpu.size()),
+                              110);
+  };
 
-  ModelSpec xkblas;
-  xkblas.name = "XKBlas";
-  xkblas.heur = rt::HeuristicConfig::xkblas();
-  xkblas.task_overhead = 3e-6;
-  xkblas.prepare_window = 16;
-  xkblas.call_overhead = 1e-3;
-
-  const auto rc = run_trsm_gemm(cham, 32768, 2048,
-                                /*sync_between_calls=*/true,
-                                /*want_gantt=*/true, 110);
+  const BenchResult rc =
+      run_composition(spec_for_library("chameleon-tile"), 32768, 2048,
+                      /*sync_between_calls=*/true, cfg);
   std::printf("Chameleon Tile (%.2f TFlop/s) -- note the synchronisation "
               "gap between TRSM and GEMM:\n%s\n",
-              rc.tflops, rc.gantt.c_str());
+              rc.tflops, gantt(rc).c_str());
 
-  const auto rx = run_trsm_gemm(xkblas, 32768, 2048,
-                                /*sync_between_calls=*/false,
-                                /*want_gantt=*/true, 110);
+  const BenchResult rx =
+      run_composition(spec_for_library("xkblas"), 32768, 2048,
+                      /*sync_between_calls=*/false, cfg);
   std::printf("XKBlas (%.2f TFlop/s) -- composed, no barrier:\n%s\n",
-              rx.tflops, rx.gantt.c_str());
+              rx.tflops, gantt(rx).c_str());
   return 0;
 }

@@ -13,10 +13,7 @@ int main(int argc, char** argv) {
   std::size_t n = argc > 1 ? atoi(argv[1]) : 32768;
   std::size_t ts = argc > 2 ? atoi(argv[2]) : 2048;
   int window = argc > 3 ? atoi(argv[3]) : 16;
-  ModelSpec s;
-  s.name = "XKBlas";
-  s.heur = rt::HeuristicConfig::xkblas();
-  s.task_overhead = 3e-6;
+  ModelSpec s = spec_for_library("xkblas");
   s.prepare_window = window;
 
   rt::PerfModel perf;
@@ -27,11 +24,8 @@ int main(int argc, char** argv) {
   ropt.prepare_window = s.prepare_window;
   ropt.task_overhead = s.task_overhead;
   rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(), ropt);
-  blas::EmitOptions emit; emit.tile = ts; emit.attach_functional = false;
-  auto [P, Q] = blas::default_grid(8);
-  emit.home = [P=P,Q=Q](std::size_t i, std::size_t j){ return int(i%P)*Q + int(j%Q); };
-  rt::Runtime& r = runtime;
-  RoutinePlan plan = plan_routine(r, Blas3::kGemm, n, emit, P, Q);
+  RoutinePlan plan =
+      plan_routine(runtime, Blas3::kGemm, n, emit_options(s, ts, 8));
   plan.emit();
   plan.coherent();
   double t = runtime.run();

@@ -1,6 +1,6 @@
 // Shared machinery for the library models: symbolic matrices (paper-scale
-// views that are never dereferenced in timing mode), routine emission, and
-// the standard run skeleton every model parameterises.
+// views that are never dereferenced in timing mode), run plans, and the one
+// run skeleton every BLAS routine, composition and workload goes through.
 #pragma once
 
 #include <complex>
@@ -35,32 +35,9 @@ class SymbolicMatrix {
   T* base_;
 };
 
-/// How a model places, sources and moves data: the policy knobs that
-/// distinguish the libraries of the paper's comparison.
-struct ModelSpec {
-  std::string name;
-  bool dmdas = false;            ///< dmdas scheduler instead of owner+WS
-  bool stealing = true;          ///< owner-computes work stealing
-  rt::HeuristicConfig heur;      ///< source policy + optimistic flag
-  bool static_block_cyclic = false;      ///< force placement by output tile
-  bool drop_inputs = false;              ///< stream inputs, no cross-task cache
-  bool flush_outputs_each_task = false;  ///< host-centric outer products
-  double task_overhead = 0.0;    ///< per-task runtime cost (seconds)
-  int prepare_window = 6;        ///< per-device prefetch depth
-  /// Fixed per-call setup cost (graph unrolling, performance-model lookup,
-  /// grid/handle initialisation) -- dominates at small N; calibrated from
-  /// the paper's small-matrix gaps.
-  double call_overhead = 0.0;
-  double peak_scale = 1.0;       ///< kernel quality vs cuBLAS (Slate batched)
-  bool coherent_at_end = true;   ///< D2H of results included in the time
-  bool lapack_conversion = false;  ///< Chameleon LAPACK layout conversions
-  std::size_t max_n = SIZE_MAX;  ///< hard failure threshold (BLASX)
-  mem::EvictionPolicy eviction = mem::EvictionPolicy::kReadOnlyFirst;
-  std::vector<Blas3> routines;   ///< supported routines (empty = all nine)
-};
-
-/// Type-erased benchmark instance: how to emit the task graph, pre-place the
-/// operands (data-on-device), and bring results home (data-on-host).
+/// Type-erased run: how to emit the task graph, pre-place the operands
+/// (data-on-device), and bring results home (data-on-host).  Only the plan
+/// differs between a BLAS routine, the Fig. 8 composition and a workload.
 struct RoutinePlan {
   std::function<void()> emit;
   std::function<void()> distribute;
@@ -68,29 +45,40 @@ struct RoutinePlan {
   double flops = 0.0;
   double input_bytes = 0.0;   ///< operand footprint (layout conversions)
   double output_bytes = 0.0;
+  int calls = 1;              ///< library calls, each paying call_overhead
 };
+
+/// Emission options carrying `spec`'s placement (owner-computes homes or
+/// forced static placement on the default block-cyclic grid) and flush
+/// policy.
+blas::EmitOptions emit_options(const ModelSpec& spec, std::size_t tile,
+                               int num_gpus);
 
 /// Build the plan for one paper benchmark (square FP64; complex FP64 for
-/// HEMM/HERK/HER2K) on (P, Q)-grid block-cyclic mappings.
+/// HEMM/HERK/HER2K); data-on-device staging uses the default block-cyclic
+/// grid.
 RoutinePlan plan_routine(rt::Runtime& runtime, Blas3 routine, std::size_t n,
-                         const blas::EmitOptions& emit, int P, int Q);
+                         const blas::EmitOptions& emit);
 
-/// Run a paper benchmark under `spec`: the standard skeleton shared by every
-/// library model (scenario handling, emission, coherency, result capture).
-BenchResult run_with_spec(const ModelSpec& spec, const BenchConfig& cfg);
+/// Builds a run's plan against the runtime the skeleton configured.
+using PlanBuilder = std::function<RoutinePlan(rt::Runtime&)>;
 
-/// A LibraryModel entirely described by a ModelSpec.
-class SpecModel : public LibraryModel {
- public:
-  explicit SpecModel(ModelSpec spec) : spec_(std::move(spec)) {}
-  std::string name() const override { return spec_.name; }
-  bool supports(Blas3 r) const override;
-  BenchResult run(const BenchConfig& cfg) override;
-  /// The policy knobs, exposed for non-BLAS entry points (workloads).
-  const ModelSpec& spec() const { return spec_; }
+/// The run skeleton: platform and runtime configured from `spec` and `cfg`,
+/// the plan submitted under cfg's scenario and timed, results captured
+/// (transfers, check verdict, obs artifacts, fault counters, flight dump
+/// on failure).  `id` names the run in ledgers and flight dumps; its lib,
+/// scenario and seed are filled in here.
+BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
+                     obs::LedgerMeta id, const PlanBuilder& build);
 
- protected:
-  ModelSpec spec_;
-};
+/// Fig. 8: B := A^-1 B (TRSM) then C := B D + C (GEMM) on n x n operands
+/// under `spec`.  `sync_between_calls` drains the device between the two
+/// calls, results coherent on the host, as libraries with synchronous
+/// inter-call semantics do (Chameleon); XKBlas composes both calls in one
+/// graph.  Data on host only: cfg.data_on_device throws
+/// std::invalid_argument.
+BenchResult run_composition(const ModelSpec& spec, std::size_t n,
+                            std::size_t tile, bool sync_between_calls,
+                            const RunConfig& cfg = {});
 
 }  // namespace xkb::baselines

@@ -1,210 +1,188 @@
 #include "baselines/library_model.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "baselines/common.hpp"
-#include "fault/injector.hpp"
-#include "obs/ledger.hpp"
-#include "obs/report.hpp"
+#include "tdl/presets.hpp"
 
 namespace xkb::baselines {
 
 namespace {
 
-template <typename T>
-void coherent_matrix(rt::Runtime& runtime, MatrixView<const T> m,
-                     std::size_t ts) {
-  for (std::size_t i = 0; i < m.m; i += ts)
-    for (std::size_t j = 0; j < m.n; j += ts) {
-      mem::DataHandle* h = blas::detail::tile_handle(
-          runtime, m, i, j, std::min(ts, m.m - i), std::min(ts, m.n - j));
-      runtime.coherent_async(h);
-    }
+struct Row {
+  const char* cli;  ///< the name every tool's --lib accepts
+  ModelSpec spec;
+};
+
+// Designated initializers name only the knobs a library changes; every
+// other field keeps its ModelSpec default.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmissing-field-initializers"
+
+/// The libraries of the paper's comparison, in Fig. 5 order.  Built once;
+/// a factory copies only the row it asks for.
+const std::vector<Row>& table() {
+  static const std::vector<Row> rows = {
+      // BLASX: a multi-GPU level-3 BLAS with a two-level software cache that
+      // favours GPU-to-GPU transfers between devices sharing a PCIe switch
+      // (the L2 cache level), scheduling tiles dynamically.  The public code
+      // only ships GEMM, and the public build exhausts device memory on
+      // matrices larger than 45000 (paper Fig. 5 note) -- both reproduced.
+      {"blasx",
+       {.name = "BLASX",
+        .heur = {rt::SourcePolicy::kSwitchPeer, /*optimistic=*/false},
+        .task_overhead = 4e-6,
+        .call_overhead = 10e-3,
+        .max_n = 45000,
+        .routines = {Blas3::kGemm}}},
+      // Chameleon over StarPU with the dmdas scheduler (the configuration of
+      // the paper's experiments: 2 concurrent kernels per GPU, performance
+      // models pre-trained).  dmdas places each ready task where its
+      // expected completion time -- including estimated transfer cost -- is
+      // minimal, which balances SYRK/SYR2K better than XKaapi's work
+      // stealing (the crossover of Fig. 5).  StarPU costs 20 us per task to
+      // submit and schedule, and 80 ms per call to unroll the graph and
+      // look up its models.  The LAPACK variant takes operands in LAPACK
+      // layout and converts to/from tile layout on the host before and
+      // after the computation, which makes it ~5x slower end to end.
+      {"chameleon-lapack",
+       {.name = "Chameleon LAPACK",
+        .dmdas = true,
+        .heur = {rt::SourcePolicy::kFirstValid, /*optimistic=*/false},
+        .task_overhead = 20e-6,
+        .call_overhead = 80e-3,
+        .lapack_conversion = true}},
+      // Chameleon Tile: the same library with operands already in its
+      // internal tile layout.
+      {"chameleon-tile",
+       {.name = "Chameleon Tile",
+        .dmdas = true,
+        .heur = {rt::SourcePolicy::kFirstValid, /*optimistic=*/false},
+        .task_overhead = 20e-6,
+        .call_overhead = 80e-3}},
+      // cuBLAS-MG (early access): GEMM only, matrices distributed 2D
+      // block-cyclic across devices.  Placement is static (owner of the C
+      // block); peer copies are used but without topology ranking, and
+      // there is no optimistic forwarding -- the gap to XKBlas the paper
+      // measures (up to 1.13x).  The call pays grid descriptor setup and
+      // the explicit distribution.
+      {"cublas-mg",
+       {.name = "cuBLAS-MG",
+        .stealing = false,
+        .heur = {rt::SourcePolicy::kFirstValid, /*optimistic=*/false},
+        .static_block_cyclic = true,
+        .task_overhead = 2e-6,
+        .call_overhead = 90e-3,
+        .routines = {Blas3::kGemm}}},
+      // cuBLAS-XT: NVIDIA's out-of-core multi-GPU BLAS.  Tiles of the output
+      // are statically distributed; every input block is streamed from host
+      // memory for each tile product (no software cache across products)
+      // and results return to the host at the end of every call
+      // (synchronous semantics).  All traffic crosses PCIe -- no peer
+      // transfers -- which is why the paper measures it spending most of
+      // its time in HtoD copies (Fig. 6).  Shallow per-stream pipelining,
+      // no tile sharing.
+      {"cublas-xt",
+       {.name = "cuBLAS-XT",
+        .stealing = false,
+        .heur = {rt::SourcePolicy::kHostOnly, /*optimistic=*/false},
+        .static_block_cyclic = true,
+        .drop_inputs = true,
+        .task_overhead = 2e-6,
+        .prepare_window = 3,
+        .call_overhead = 5e-3}},
+      // DPLASMA over PaRSEC: static 2D block-cyclic data distribution with
+      // the hierarchical DAG scheduler.  GPU support (GEMM only) stages
+      // transfers through host memory, without topology-aware peer
+      // selection; each call instantiates the PaRSEC DAG.
+      {"dplasma",
+       {.name = "DPLASMA",
+        .stealing = false,
+        .heur = {rt::SourcePolicy::kHostOnly, /*optimistic=*/false},
+        .static_block_cyclic = true,
+        .task_overhead = 10e-6,
+        .call_overhead = 100e-3,
+        .routines = {Blas3::kGemm}}},
+      // Slate: targets distributed-memory supercomputers; accelerator
+      // support goes through block outer products on batched GEMM, whose
+      // kernels run below hand-tuned cuBLAS peak.  On a single DGX-1 node
+      // this design cannot exploit the NVLink fabric: all traffic crosses
+      // the four PCIe switches, panels are re-streamed from the host each
+      // step, and output blocks round-trip between host and device every
+      // panel update (host-centric memory management) -- which is why the
+      // paper measures it flat-lining well below the other libraries.
+      {"slate",
+       {.name = "Slate",
+        .stealing = false,
+        .heur = {rt::SourcePolicy::kHostOnly, /*optimistic=*/false},
+        .static_block_cyclic = true,
+        .drop_inputs = true,
+        .flush_outputs_each_task = true,
+        .task_overhead = 5e-6,
+        .call_overhead = 60e-3,
+        .peak_scale = 0.9}},
+      // XKBlas: the paper's library -- owner-computes placement with XKaapi
+      // work stealing, lazy host coherency, and the two heuristics under
+      // test (topology-aware source selection + optimistic device-to-device
+      // forwarding); spec_for_library swaps in the Fig. 3 variants.
+      // XKaapi's runtime is lightweight, which the paper credits for
+      // XKBlas's reactivity on small matrices.  It prefetches deeply ahead
+      // of execution (asynchronous tasks are known well in advance), which
+      // is what lets the optimistic heuristic catch so many concurrent
+      // first touches.
+      {"xkblas",
+       {.name = "XKBlas",
+        .heur = rt::HeuristicConfig::xkblas(),
+        .task_overhead = 3e-6,
+        .prepare_window = 16,
+        .call_overhead = 1e-3}},
+  };
+  return rows;
 }
 
-template <typename T>
-void distribute_matrix(rt::Runtime& runtime, MatrixView<const T> m,
-                       std::size_t ts, int P, int Q) {
-  for (std::size_t i = 0; i < m.m; i += ts)
-    for (std::size_t j = 0; j < m.n; j += ts) {
-      mem::DataHandle* h = blas::detail::tile_handle(
-          runtime, m, i, j, std::min(ts, m.m - i), std::min(ts, m.n - j));
-      const int dev = static_cast<int>((i / ts) % P) * Q +
-                      static_cast<int>((j / ts) % Q);
-      h->home_device = dev;
-      rt::TaskDesc d;
-      d.label = "dist";
-      d.accesses.push_back({h, rt::Access::kR});
-      d.forced_device = dev;
-      runtime.submit(std::move(d));
-    }
+#pragma GCC diagnostic pop
+
+std::unique_ptr<LibraryModel> model(const char* cli) {
+  return std::make_unique<LibraryModel>(spec_for_library(cli));
 }
 
 }  // namespace
 
-RoutinePlan plan_routine(rt::Runtime& runtime, Blas3 routine, std::size_t n,
-                         const blas::EmitOptions& emit, int P, int Q) {
-  using Z = std::complex<double>;
-  RoutinePlan plan;
-  plan.flops = routine_flops(routine, static_cast<double>(n));
-  const std::size_t ts = emit.tile;
-  const double mat_bytes_d = static_cast<double>(n) * n * sizeof(double);
-  const double mat_bytes_z = static_cast<double>(n) * n * sizeof(Z);
-
-  auto A = std::make_shared<SymbolicMatrix<double>>(n, n, 0);
-  auto B = std::make_shared<SymbolicMatrix<double>>(n, n, 1);
-  auto C = std::make_shared<SymbolicMatrix<double>>(n, n, 2);
-  auto ZA = std::make_shared<SymbolicMatrix<Z>>(n, n, 3);
-  auto ZB = std::make_shared<SymbolicMatrix<Z>>(n, n, 4);
-  auto ZC = std::make_shared<SymbolicMatrix<Z>>(n, n, 5);
-  auto& rt = runtime;
-
-  switch (routine) {
-    case Blas3::kGemm:
-      plan.emit = [&rt, A, B, C, emit] {
-        blas::tiled_gemm(rt, Op::NoTrans, Op::NoTrans, 1.0, A->cview(),
-                         B->cview(), 1.0, C->view(), emit);
-      };
-      plan.distribute = [&rt, A, B, C, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-        distribute_matrix(rt, C->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, C, ts] { coherent_matrix(rt, C->cview(), ts); };
-      plan.input_bytes = 3 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
-      break;
-    case Blas3::kSymm:
-      plan.emit = [&rt, A, B, C, emit] {
-        blas::tiled_symm(rt, Side::Left, Uplo::Lower, 1.0, A->cview(),
-                         B->cview(), 1.0, C->view(), emit);
-      };
-      plan.distribute = [&rt, A, B, C, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-        distribute_matrix(rt, C->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, C, ts] { coherent_matrix(rt, C->cview(), ts); };
-      plan.input_bytes = 3 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
-      break;
-    case Blas3::kSyrk:
-      plan.emit = [&rt, A, C, emit] {
-        blas::tiled_syrk(rt, Uplo::Lower, Op::NoTrans, 1.0, A->cview(), 1.0,
-                         C->view(), emit);
-      };
-      plan.distribute = [&rt, A, C, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, C->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, C, ts] { coherent_matrix(rt, C->cview(), ts); };
-      plan.input_bytes = 2 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
-      break;
-    case Blas3::kSyr2k:
-      plan.emit = [&rt, A, B, C, emit] {
-        blas::tiled_syr2k(rt, Uplo::Lower, Op::NoTrans, 1.0, A->cview(),
-                          B->cview(), 1.0, C->view(), emit);
-      };
-      plan.distribute = [&rt, A, B, C, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-        distribute_matrix(rt, C->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, C, ts] { coherent_matrix(rt, C->cview(), ts); };
-      plan.input_bytes = 3 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
-      break;
-    case Blas3::kTrmm:
-      plan.emit = [&rt, A, B, emit] {
-        blas::tiled_trmm(rt, Side::Left, Uplo::Lower, Op::NoTrans,
-                         Diag::NonUnit, 1.0, A->cview(), B->view(), emit);
-      };
-      plan.distribute = [&rt, A, B, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, B, ts] { coherent_matrix(rt, B->cview(), ts); };
-      plan.input_bytes = 2 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
-      break;
-    case Blas3::kTrsm:
-      plan.emit = [&rt, A, B, emit] {
-        blas::tiled_trsm(rt, Side::Left, Uplo::Lower, Op::NoTrans,
-                         Diag::NonUnit, 1.0, A->cview(), B->view(), emit);
-      };
-      plan.distribute = [&rt, A, B, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, B, ts] { coherent_matrix(rt, B->cview(), ts); };
-      plan.input_bytes = 2 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
-      break;
-    case Blas3::kHemm:
-      plan.emit = [&rt, ZA, ZB, ZC, emit] {
-        blas::tiled_hemm(rt, Side::Left, Uplo::Lower, Z{1.0}, ZA->cview(),
-                         ZB->cview(), Z{1.0}, ZC->view(), emit);
-      };
-      plan.distribute = [&rt, ZA, ZB, ZC, ts, P, Q] {
-        distribute_matrix(rt, ZA->cview(), ts, P, Q);
-        distribute_matrix(rt, ZB->cview(), ts, P, Q);
-        distribute_matrix(rt, ZC->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, ZC, ts] { coherent_matrix(rt, ZC->cview(), ts); };
-      plan.flops *= 4.0;  // complex arithmetic
-      plan.input_bytes = 3 * mat_bytes_z;
-      plan.output_bytes = mat_bytes_z;
-      break;
-    case Blas3::kHerk:
-      plan.emit = [&rt, ZA, ZC, emit] {
-        blas::tiled_herk(rt, Uplo::Lower, Op::NoTrans, 1.0, ZA->cview(), 1.0,
-                         ZC->view(), emit);
-      };
-      plan.distribute = [&rt, ZA, ZC, ts, P, Q] {
-        distribute_matrix(rt, ZA->cview(), ts, P, Q);
-        distribute_matrix(rt, ZC->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, ZC, ts] { coherent_matrix(rt, ZC->cview(), ts); };
-      plan.flops *= 4.0;
-      plan.input_bytes = 2 * mat_bytes_z;
-      plan.output_bytes = mat_bytes_z;
-      break;
-    case Blas3::kHer2k:
-      plan.emit = [&rt, ZA, ZB, ZC, emit] {
-        blas::tiled_her2k(rt, Uplo::Lower, Op::NoTrans, Z{1.0}, ZA->cview(),
-                          ZB->cview(), 1.0, ZC->view(), emit);
-      };
-      plan.distribute = [&rt, ZA, ZB, ZC, ts, P, Q] {
-        distribute_matrix(rt, ZA->cview(), ts, P, Q);
-        distribute_matrix(rt, ZB->cview(), ts, P, Q);
-        distribute_matrix(rt, ZC->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, ZC, ts] { coherent_matrix(rt, ZC->cview(), ts); };
-      plan.flops *= 4.0;
-      plan.input_bytes = 3 * mat_bytes_z;
-      plan.output_bytes = mat_bytes_z;
-      break;
-  }
-  return plan;
-}
-
-bool SpecModel::supports(Blas3 r) const {
+bool LibraryModel::supports(Blas3 r) const {
   if (spec_.routines.empty()) return true;
   return std::find(spec_.routines.begin(), spec_.routines.end(), r) !=
          spec_.routines.end();
 }
 
-BenchResult SpecModel::run(const BenchConfig& cfg) {
+BenchResult LibraryModel::run(const BenchConfig& cfg) const {
+  BenchResult res;
   if (!supports(cfg.routine)) {
-    BenchResult res;
     res.supported = false;
     return res;
   }
-  return run_with_spec(spec_, cfg);
+  cfg.validate();
+  if (cfg.n > spec_.max_n) {
+    res.failed = true;
+    res.error = "memory allocation error";
+    return res;
+  }
+  obs::LedgerMeta id;
+  id.routine = blas3_name(cfg.routine);
+  id.n = cfg.n;
+  id.tile = cfg.tile;
+  return run_plan(spec_, cfg, std::move(id), [&](rt::Runtime& runtime) {
+    return plan_routine(runtime, cfg.routine, cfg.n,
+                        emit_options(spec_, cfg.tile, runtime.num_gpus()));
+  });
+}
+
+void RunConfig::validate() const {
+  if (device_capacity == 0)
+    throw std::invalid_argument(
+        "RunConfig.device_capacity == 0: no replica could ever be "
+        "allocated");
 }
 
 void BenchConfig::validate() const {
@@ -219,225 +197,84 @@ void BenchConfig::validate() const {
     throw std::invalid_argument(
         "BenchConfig.tile (" + std::to_string(tile) + ") exceeds n (" +
         std::to_string(n) + "): the tile grid would be empty");
-  if (kernel_streams < 1)
-    throw std::invalid_argument(
-        "BenchConfig.kernel_streams < 1: a device needs at least one "
-        "stream to execute kernels");
-  if (device_capacity == 0)
-    throw std::invalid_argument(
-        "BenchConfig.device_capacity == 0: no replica could ever be "
-        "allocated");
-}
-
-BenchResult run_with_spec(const ModelSpec& spec, const BenchConfig& cfg) {
-  cfg.validate();
-  BenchResult res;
-  if (cfg.n > spec.max_n) {
-    res.failed = true;
-    res.error = "memory allocation error";
-    return res;
-  }
-
-  rt::PerfModel perf = cfg.perf;
-  perf.peak_flops_dp *= spec.peak_scale;
-
-  rt::PlatformOptions popt;
-  popt.functional = false;
-  popt.kernel_streams = cfg.kernel_streams;
-  popt.device_capacity = cfg.device_capacity;
-  popt.eviction = spec.eviction;
-  rt::Platform plat(cfg.topology, perf, popt);
-
-  std::shared_ptr<obs::Observability> o;
-  if (cfg.obs.enabled) {
-    o = std::make_shared<obs::Observability>(plat.num_gpus());
-    plat.set_obs(o.get());  // before the Runtime: it caches series pointers
-  }
-
-  std::unique_ptr<fault::Injector> inj;
-  if (!cfg.fault_plan.empty()) {
-    inj = std::make_unique<fault::Injector>(cfg.fault_plan);
-    // Before the Runtime: its constructor binds the device-fail hook and
-    // arms the plan's silent events against the engine.
-    plat.set_fault(inj.get());
-  }
-
-  rt::RuntimeOptions ropt;
-  ropt.heuristics = spec.heur;
-  ropt.drop_inputs_after_use = spec.drop_inputs;
-  ropt.task_overhead = spec.task_overhead;
-  ropt.prepare_window = spec.prepare_window;
-  ropt.check = cfg.check;
-  std::unique_ptr<rt::Scheduler> sched;
-  if (spec.dmdas)
-    sched = std::make_unique<rt::DmdasScheduler>();
-  else
-    sched = std::make_unique<rt::OwnerComputesScheduler>(spec.stealing);
-  rt::Runtime runtime(plat, std::move(sched), ropt);
-
-  blas::EmitOptions emit;
-  emit.tile = cfg.tile;
-  emit.attach_functional = false;
-  emit.flush_outputs_each_task = spec.flush_outputs_each_task;
-  auto [P, Q] = blas::default_grid(plat.num_gpus());
-  auto bc = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
-  };
-  if (spec.static_block_cyclic)
-    emit.force_place = bc;
-  else
-    emit.home = bc;
-
-  RoutinePlan plan = plan_routine(runtime, cfg.routine, cfg.n, emit, P, Q);
-
-  const auto ledger_meta = [&] {
-    obs::LedgerMeta lm;
-    lm.lib = spec.name;
-    lm.routine = blas3_name(cfg.routine);
-    lm.scenario = cfg.data_on_device ? "data-on-device" : "data-on-host";
-    lm.n = cfg.n;
-    lm.tile = cfg.tile;
-    lm.seed = cfg.fault_plan.seed;
-    return lm;
-  };
-  // Register the run identity so a watchdog-stall dump composed inside the
-  // runtime still names the lib/routine.
-  if (o) o->set_ledger_meta(ledger_meta());
-  // Compose a flight-recorder dump at a failure site.  Runtime::on_stuck
-  // stashes its own dump (with the pre-stall ledger snapshot) before the
-  // StuckProgress throw; "first dump wins", so this only fills in for
-  // failures that bypassed on_stuck (OOM, retries exhausted, data loss,
-  // checker violations seen after the run).
-  const auto compose_flight = [&](const std::string& reason) {
-    if (!o) return;
-    if (o->flight_dump().empty()) {
-      o->finalize_registry();
-      const obs::RunLedger snap = obs::build_ledger(
-          plat.trace(), plat.topology(), o.get(), 0, ledger_meta());
-      o->set_flight_dump(o->flight().dump_json(reason, obs::ledger_json(snap)));
-    }
-    res.flight_json = o->flight_dump();
-    res.obs = o;
-  };
-
-  double t0 = 0.0;
-  rt::TransferStats s0{};  // stats issued before the measured region
-  try {
-    if (cfg.data_on_device) {
-      plan.distribute();
-      // run() reports the last *observable* instant: pending silent fault
-      // events must not inflate the distribution phase's end time.
-      t0 = runtime.run();
-      plat.trace().clear();
-      if (o) o->clear();  // observe only the measured (compute) phase
-      s0 = runtime.data_manager().stats();
-    }
-    plan.emit();
-    if (spec.coherent_at_end && !cfg.data_on_device) plan.coherent();
-    const double t1 = runtime.run();
-    double seconds = t1 - t0;
-    seconds += spec.call_overhead;
-    if (spec.lapack_conversion)
-      seconds += (plan.input_bytes + plan.output_bytes) / perf.host_conv_bw;
-    res.seconds = seconds;
-    res.tflops = plan.flops / seconds / 1e12;
-  } catch (const mem::OutOfDeviceMemory& e) {
-    res.failed = true;
-    res.error = e.what();
-    compose_flight(std::string("oom: ") + e.what());
-    return res;
-  } catch (const fault::FaultError& e) {
-    // Failed-but-diagnosed: the recovery machinery hit its documented
-    // limits (retries exhausted, unrecoverable dirty loss, stuck run).
-    res.failed = true;
-    res.error = e.what();
-    res.task_remaps = runtime.task_remaps();
-    res.task_replays = runtime.task_replays();
-    compose_flight(std::string("fault: ") + e.what());
-    return res;
-  }
-
-  res.breakdown = plat.trace().breakdown();
-  for (int g = 0; g < plat.num_gpus(); ++g)
-    res.per_gpu.push_back(plat.trace().breakdown(g));
-  res.transfers = runtime.data_manager().stats();
-  res.steals = runtime.steals();
-  res.tasks = runtime.tasks_completed();
-  res.events_processed = plat.engine().events_processed();
-  res.events_observable = plat.engine().observable_processed();
-  res.events_peak_pending = plat.engine().peak_pending();
-  if (inj) {
-    res.task_remaps = runtime.task_remaps();
-    res.task_replays = runtime.task_replays();
-    const rt::TransferStats& ts = res.transfers;
-    std::ostringstream js;
-    js << "{\"injector\":" << inj->counters_json()
-       << ",\"unconsumed_xfail\":" << inj->unconsumed_transfer_faults()
-       << ",\"recovery\":{\"transfer_aborts\":" << ts.transfer_aborts
-       << ",\"transfer_retries\":" << ts.transfer_retries
-       << ",\"waiter_replans\":" << ts.waiter_replans
-       << ",\"task_remaps\":" << res.task_remaps
-       << ",\"task_replays\":" << res.task_replays << "}}";
-    res.fault_json = js.str();
-  }
-  if (const check::Checker* c = runtime.checker()) {
-    res.check_ok = c->ok();
-    res.check_violations = c->total_violations();
-    res.check_report = c->report();
-    res.event_hash = c->event_hash();
-  }
-  if (o) {
-    o->finalize_registry();
-    const obs::RunReport rep =
-        obs::build_report(plat.trace(), plat.topology(), o.get());
-    res.metrics_json = obs::report_json(rep, o.get());
-    res.ledger_json = obs::ledger_json(obs::build_ledger(
-        plat.trace(), plat.topology(), o.get(), res.event_hash,
-        ledger_meta()));
-    res.obs = o;
-    if (runtime.checker()) {
-      // Cross-validate the two independent accounting paths: observed event
-      // stream vs runtime counters and trace aggregation.
-      const rt::TransferStats& ts = runtime.data_manager().stats();
-      obs::Observability::ReconcileView v;
-      v.h2d = ts.h2d - s0.h2d;
-      v.d2h = ts.d2h - s0.d2h;
-      v.d2d = ts.d2d - s0.d2d;
-      v.optimistic_waits = ts.optimistic_waits - s0.optimistic_waits;
-      v.forced_waits = ts.forced_waits - s0.forced_waits;
-      const trace::Breakdown b = plat.trace().breakdown();
-      v.htod = b.htod;
-      v.dtoh = b.dtoh;
-      v.ptop = b.ptop;
-      v.kernel = b.kernel;
-      v.htod_bytes = plat.trace().bytes(trace::OpKind::kHtoD);
-      v.dtoh_bytes = plat.trace().bytes(trace::OpKind::kDtoH);
-      v.ptop_bytes = plat.trace().bytes(trace::OpKind::kPtoP);
-      const std::vector<std::string> mismatches = o->reconcile(v);
-      if (!mismatches.empty()) {
-        res.check_ok = false;
-        res.check_violations += mismatches.size();
-        for (const std::string& m : mismatches)
-          res.check_report += "[obs] " + m + "\n";
-      }
-    }
-  }
-  if (!res.check_ok) compose_flight("checker-violation");
-  return res;
+  RunConfig::validate();
 }
 
 std::vector<std::unique_ptr<LibraryModel>> all_models() {
   std::vector<std::unique_ptr<LibraryModel>> v;
-  v.push_back(make_blasx());
-  v.push_back(make_chameleon(/*tile_layout=*/false));  // Chameleon LAPACK
-  v.push_back(make_chameleon(/*tile_layout=*/true));   // Chameleon Tile
-  v.push_back(make_cublasmg());
-  v.push_back(make_cublasxt());
-  v.push_back(make_dplasma());
-  v.push_back(make_slate());
-  v.push_back(make_xkblas(rt::HeuristicConfig::xkblas()));
+  for (const Row& r : table())
+    v.push_back(std::make_unique<LibraryModel>(r.spec));
   return v;
+}
+
+std::vector<std::string> library_names() {
+  std::vector<std::string> v;
+  for (const Row& r : table()) v.emplace_back(r.cli);
+  return v;
+}
+
+ModelSpec spec_for_library(const std::string& name, rt::HeuristicConfig heur) {
+  for (const Row& r : table()) {
+    if (name != r.cli) continue;
+    ModelSpec s = r.spec;
+    // The Fig. 3 ablation varies XKBlas's heuristics only.
+    if (name == "xkblas") s.heur = heur;
+    return s;
+  }
+  std::string all;
+  for (const std::string& n : library_names())
+    all += (all.empty() ? "" : "|") + n;
+  throw std::invalid_argument("unknown library '" + name +
+                              "' (accepted: " + all + ")");
+}
+
+std::unique_ptr<LibraryModel> make_xkblas(rt::HeuristicConfig heur,
+                                          std::string suffix) {
+  ModelSpec s = spec_for_library("xkblas", heur);
+  s.name += suffix;
+  return std::make_unique<LibraryModel>(std::move(s));
+}
+std::unique_ptr<LibraryModel> make_cublasxt() { return model("cublas-xt"); }
+std::unique_ptr<LibraryModel> make_blasx() { return model("blasx"); }
+std::unique_ptr<LibraryModel> make_chameleon(bool tile_layout) {
+  return model(tile_layout ? "chameleon-tile" : "chameleon-lapack");
+}
+std::unique_ptr<LibraryModel> make_cublasmg() { return model("cublas-mg"); }
+std::unique_ptr<LibraryModel> make_slate() { return model("slate"); }
+std::unique_ptr<LibraryModel> make_dplasma() { return model("dplasma"); }
+
+Blas3 parse_routine(const std::string& name) {
+  if (name == "gemm") return Blas3::kGemm;
+  if (name == "symm") return Blas3::kSymm;
+  if (name == "syrk") return Blas3::kSyrk;
+  if (name == "syr2k") return Blas3::kSyr2k;
+  if (name == "trmm") return Blas3::kTrmm;
+  if (name == "trsm") return Blas3::kTrsm;
+  if (name == "hemm") return Blas3::kHemm;
+  if (name == "herk") return Blas3::kHerk;
+  if (name == "her2k") return Blas3::kHer2k;
+  throw std::invalid_argument(
+      "unknown routine '" + name +
+      "' (accepted: gemm|symm|syrk|syr2k|trmm|trsm|hemm|herk|her2k)");
+}
+
+topo::Topology parse_topo(const std::string& name) {
+  if (name == "dgx1") return topo::Topology::dgx1();
+  if (name == "pcie") return topo::Topology::pcie_only(8);
+  if (name == "nvswitch") return topo::Topology::nvswitch(8);
+  if (name == "summit") return topo::Topology::summit_like();
+  // Anything ending in .tpo is a machine description file.
+  if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tpo") == 0)
+    return topo::Topology::from_tpo_file(name);
+  // Fall through to the tdl preset registry (fat_tree_2x8, pcie8, ...), so
+  // every preset a .tpo file can be generated from is also runnable.
+  try {
+    return topo::Topology::from_machine(tdl::preset_machine(name));
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(
+        "unknown topology '" + name +
+        "' (accepted: dgx1|pcie|nvswitch|summit|<tdl preset>|<file.tpo>)");
+  }
 }
 
 }  // namespace xkb::baselines

@@ -1,229 +1,44 @@
 #include "baselines/workload_entry.hpp"
 
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
-#include "fault/injector.hpp"
-#include "obs/ledger.hpp"
-#include "obs/report.hpp"
+#include "baselines/common.hpp"
 #include "workload/bridge.hpp"
 
 namespace xkb::baselines {
 
 BenchResult run_workload(const ModelSpec& spec, const wl::WorkloadGraph& graph,
-                         const WorkloadBenchConfig& cfg) {
+                         const RunConfig& cfg) {
   graph.validate();
-  BenchResult res;
-
-  rt::PerfModel perf = cfg.perf;
-  perf.peak_flops_dp *= spec.peak_scale;
-
-  rt::PlatformOptions popt;
-  popt.functional = false;
-  popt.kernel_streams = cfg.kernel_streams;
-  popt.device_capacity = cfg.device_capacity;
-  popt.eviction = spec.eviction;
-  rt::Platform plat(cfg.topology, perf, popt);
-
-  std::shared_ptr<obs::Observability> o;
-  if (cfg.obs.enabled) {
-    o = std::make_shared<obs::Observability>(plat.num_gpus());
-    plat.set_obs(o.get());  // before the Runtime: it caches series pointers
-  }
-
-  std::unique_ptr<fault::Injector> inj;
-  if (!cfg.fault_plan.empty()) {
-    inj = std::make_unique<fault::Injector>(cfg.fault_plan);
-    plat.set_fault(inj.get());
-  }
-
-  rt::RuntimeOptions ropt;
-  ropt.heuristics = spec.heur;
-  ropt.drop_inputs_after_use = spec.drop_inputs;
-  ropt.task_overhead = spec.task_overhead;
-  ropt.prepare_window = spec.prepare_window;
-  ropt.check = cfg.check;
-  std::unique_ptr<rt::Scheduler> sched;
-  if (spec.dmdas)
-    sched = std::make_unique<rt::DmdasScheduler>();
-  else
-    sched = std::make_unique<rt::OwnerComputesScheduler>(spec.stealing);
-  rt::Runtime runtime(plat, std::move(sched), ropt);
-
-  // Placement: grid-placement graphs (the composition capture) map through
-  // the same (P, Q) block-cyclic grid as the BLAS emitters; layered graphs
-  // spread layer points round-robin so neighbouring points land on
-  // neighbouring devices and stencil halos cross real links.
-  wl::BridgeOptions bopt;
-  bopt.flush_outputs = spec.flush_outputs_each_task;
-  std::function<int(std::size_t, std::size_t)> place;
-  if (graph.grid_placement) {
-    auto [P, Q] = blas::default_grid(plat.num_gpus());
-    place = [P = P, Q = Q](std::size_t i, std::size_t j) {
-      return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-             static_cast<int>(j % static_cast<std::size_t>(Q));
-    };
-  } else {
-    place = [ngpus = plat.num_gpus()](std::size_t i, std::size_t) {
-      return static_cast<int>(i % static_cast<std::size_t>(ngpus));
-    };
-  }
-  if (spec.static_block_cyclic)
-    bopt.force_place = place;
-  else
-    bopt.home = place;
-  wl::Bridge bridge(runtime, graph, std::move(bopt));
-
-  const auto ledger_meta = [&] {
-    obs::LedgerMeta lm;
-    lm.lib = spec.name;
-    lm.routine = graph.name;
-    lm.scenario = cfg.data_on_device ? "data-on-device" : "data-on-host";
-    lm.seed = cfg.fault_plan.seed;
-    return lm;
-  };
-  // Register the run identity so a watchdog-stall dump composed inside the
-  // runtime still names the lib/routine.
-  if (o) o->set_ledger_meta(ledger_meta());
-  // Same flight-dump contract as run_with_spec: Runtime::on_stuck stashes
-  // the watchdog-stall dump first ("first dump wins"); this fills in for
-  // failures that bypassed it.
-  const auto compose_flight = [&](const std::string& reason) {
-    if (!o) return;
-    if (o->flight_dump().empty()) {
-      o->finalize_registry();
-      const obs::RunLedger snap = obs::build_ledger(
-          plat.trace(), plat.topology(), o.get(), 0, ledger_meta());
-      o->set_flight_dump(o->flight().dump_json(reason, obs::ledger_json(snap)));
-    }
-    res.flight_json = o->flight_dump();
-    res.obs = o;
-  };
-
-  double t0 = 0.0;
-  rt::TransferStats s0{};  // stats issued before the measured region
-  try {
-    if (cfg.data_on_device) {
-      bridge.distribute();
-      t0 = runtime.run();
-      plat.trace().clear();
-      if (o) o->clear();  // observe only the measured (compute) phase
-      s0 = runtime.data_manager().stats();
-    }
-    bridge.emit();
-    if (spec.coherent_at_end && !cfg.data_on_device) bridge.coherent();
-    const double t1 = runtime.run();
-    res.seconds = t1 - t0 + spec.call_overhead;
-    res.tflops = graph.total_flops() / res.seconds / 1e12;
-  } catch (const mem::OutOfDeviceMemory& e) {
-    res.failed = true;
-    res.error = e.what();
-    compose_flight(std::string("oom: ") + e.what());
-    return res;
-  } catch (const fault::FaultError& e) {
-    res.failed = true;
-    res.error = e.what();
-    res.task_remaps = runtime.task_remaps();
-    res.task_replays = runtime.task_replays();
-    compose_flight(std::string("fault: ") + e.what());
-    return res;
-  }
-
-  res.breakdown = plat.trace().breakdown();
-  for (int g = 0; g < plat.num_gpus(); ++g)
-    res.per_gpu.push_back(plat.trace().breakdown(g));
-  res.transfers = runtime.data_manager().stats();
-  res.steals = runtime.steals();
-  res.tasks = runtime.tasks_completed();
-  res.events_processed = plat.engine().events_processed();
-  res.events_observable = plat.engine().observable_processed();
-  res.events_peak_pending = plat.engine().peak_pending();
-  if (inj) {
-    res.task_remaps = runtime.task_remaps();
-    res.task_replays = runtime.task_replays();
-    const rt::TransferStats& ts = res.transfers;
-    std::ostringstream js;
-    js << "{\"injector\":" << inj->counters_json()
-       << ",\"unconsumed_xfail\":" << inj->unconsumed_transfer_faults()
-       << ",\"recovery\":{\"transfer_aborts\":" << ts.transfer_aborts
-       << ",\"transfer_retries\":" << ts.transfer_retries
-       << ",\"waiter_replans\":" << ts.waiter_replans
-       << ",\"task_remaps\":" << res.task_remaps
-       << ",\"task_replays\":" << res.task_replays << "}}";
-    res.fault_json = js.str();
-  }
-  if (const check::Checker* c = runtime.checker()) {
-    res.check_ok = c->ok();
-    res.check_violations = c->total_violations();
-    res.check_report = c->report();
-    res.event_hash = c->event_hash();
-  }
-  if (o) {
-    o->finalize_registry();
-    const obs::RunReport rep =
-        obs::build_report(plat.trace(), plat.topology(), o.get());
-    res.metrics_json = obs::report_json(rep, o.get());
-    res.ledger_json = obs::ledger_json(obs::build_ledger(
-        plat.trace(), plat.topology(), o.get(), res.event_hash,
-        ledger_meta()));
-    res.obs = o;
-    if (runtime.checker()) {
-      const rt::TransferStats& ts = runtime.data_manager().stats();
-      obs::Observability::ReconcileView v;
-      v.h2d = ts.h2d - s0.h2d;
-      v.d2h = ts.d2h - s0.d2h;
-      v.d2d = ts.d2d - s0.d2d;
-      v.optimistic_waits = ts.optimistic_waits - s0.optimistic_waits;
-      v.forced_waits = ts.forced_waits - s0.forced_waits;
-      const trace::Breakdown b = plat.trace().breakdown();
-      v.htod = b.htod;
-      v.dtoh = b.dtoh;
-      v.ptop = b.ptop;
-      v.kernel = b.kernel;
-      v.htod_bytes = plat.trace().bytes(trace::OpKind::kHtoD);
-      v.dtoh_bytes = plat.trace().bytes(trace::OpKind::kDtoH);
-      v.ptop_bytes = plat.trace().bytes(trace::OpKind::kPtoP);
-      const std::vector<std::string> mismatches = o->reconcile(v);
-      if (!mismatches.empty()) {
-        res.check_ok = false;
-        res.check_violations += mismatches.size();
-        for (const std::string& m : mismatches)
-          res.check_report += "[obs] " + m + "\n";
-      }
-    }
-  }
-  return res;
-}
-
-std::vector<std::string> library_names() {
-  return {"xkblas",    "blasx",     "chameleon-tile", "chameleon-lapack",
-          "cublas-xt", "cublas-mg", "dplasma",        "slate"};
-}
-
-ModelSpec spec_for_library(const std::string& name, rt::HeuristicConfig heur) {
-  std::unique_ptr<LibraryModel> model;
-  if (name == "xkblas") model = make_xkblas(heur);
-  else if (name == "blasx") model = make_blasx();
-  else if (name == "chameleon-tile") model = make_chameleon(true);
-  else if (name == "chameleon-lapack") model = make_chameleon(false);
-  else if (name == "cublas-xt") model = make_cublasxt();
-  else if (name == "cublas-mg") model = make_cublasmg();
-  else if (name == "dplasma") model = make_dplasma();
-  else if (name == "slate") model = make_slate();
-  if (!model) {
-    std::string all;
-    for (const std::string& n : library_names())
-      all += (all.empty() ? "" : "|") + n;
-    throw std::invalid_argument("unknown library '" + name +
-                                "' (accepted: " + all + ")");
-  }
-  auto* sm = dynamic_cast<SpecModel*>(model.get());
-  if (!sm)
-    throw std::invalid_argument("library '" + name +
-                                "' is not spec-backed; workloads need a "
-                                "ModelSpec-described model");
-  return sm->spec();
+  obs::LedgerMeta id;
+  id.routine = graph.name;
+  return run_plan(spec, cfg, std::move(id), [&](rt::Runtime& runtime) {
+    // Placement: grid-placement graphs (the composition capture) map
+    // through the same (P, Q) block-cyclic grid as the BLAS emitters;
+    // layered graphs spread layer points round-robin so neighbouring points
+    // land on neighbouring devices and stencil halos cross real links.
+    std::function<int(std::size_t, std::size_t)> place;
+    if (graph.grid_placement)
+      place = blas::block_cyclic(blas::default_grid(runtime.num_gpus()));
+    else
+      place = [ngpus = runtime.num_gpus()](std::size_t i, std::size_t) {
+        return static_cast<int>(i % static_cast<std::size_t>(ngpus));
+      };
+    wl::BridgeOptions bopt;
+    bopt.flush_outputs = spec.flush_outputs_each_task;
+    if (spec.static_block_cyclic)
+      bopt.force_place = std::move(place);
+    else
+      bopt.home = std::move(place);
+    auto bridge =
+        std::make_shared<wl::Bridge>(runtime, graph, std::move(bopt));
+    RoutinePlan plan;
+    plan.emit = [bridge] { bridge->emit(); };
+    plan.distribute = [bridge] { bridge->distribute(); };
+    plan.coherent = [bridge] { bridge->coherent(); };
+    plan.flops = graph.total_flops();
+    return plan;
+  });
 }
 
 }  // namespace xkb::baselines

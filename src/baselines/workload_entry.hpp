@@ -1,40 +1,18 @@
-// The generic-DAG entry point next to composition.cpp: run any xkb::wl
-// workload graph under a library model's policy spec, with the exact same
-// run skeleton, scenarios and result capture as the BLAS benchmarks -- so a
-// stencil sweep and a GEMM sweep are directly comparable rows.
+// The generic-DAG entry point: run any xkb::wl workload graph under a
+// library model's policy spec through the same run skeleton, scenarios and
+// result capture as the BLAS benchmarks -- so a stencil sweep and a GEMM
+// sweep are directly comparable rows.
 #pragma once
 
-#include "baselines/common.hpp"
+#include "baselines/library_model.hpp"
 #include "workload/workload.hpp"
 
 namespace xkb::baselines {
 
-/// The workload analogue of BenchConfig (no routine/n/tile: the graph
-/// carries its own shape and costs).
-struct WorkloadBenchConfig {
-  bool data_on_device = false;  ///< pre-place inputs on their consumers
-  topo::Topology topology = topo::Topology::dgx1();
-  rt::PerfModel perf;
-  std::size_t device_capacity = 32ull << 30;
-  int kernel_streams = 2;
-  check::CheckConfig check;
-  obs::ObsConfig obs;
-  fault::FaultPlan fault_plan;
-};
-
-/// Run `graph` under `spec`: platform + runtime configured exactly as
-/// run_with_spec, the graph bridged through wl::Bridge, results captured
-/// into the same BenchResult (transfers, check verdict, metrics JSON,
-/// fault counters).
+/// Run `graph` under `spec`: the graph bridged through wl::Bridge as the
+/// skeleton's plan, results captured into the same BenchResult
+/// (transfers, check verdict, metrics JSON, fault counters).
 BenchResult run_workload(const ModelSpec& spec, const wl::WorkloadGraph& graph,
-                         const WorkloadBenchConfig& cfg);
-
-/// The ModelSpec behind a named library model ("xkblas", "slate", ...),
-/// with `heur` applied to the XKBlas variants.  Unknown names throw
-/// std::invalid_argument listing every accepted value.
-ModelSpec spec_for_library(const std::string& name, rt::HeuristicConfig heur);
-
-/// All accepted spec_for_library names (CLI error messages).
-std::vector<std::string> library_names();
+                         const RunConfig& cfg);
 
 }  // namespace xkb::baselines

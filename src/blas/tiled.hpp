@@ -51,6 +51,16 @@ inline std::pair<int, int> default_grid(int ngpus) {
   return {ngpus / p, p};  // P >= Q, e.g. (4,2) for 8
 }
 
+/// The 2D block-cyclic map of a (P, Q) grid: tile (i, j) lives on device
+/// (i mod P) * Q + (j mod Q).  Usable as EmitOptions::home/force_place.
+inline std::function<int(std::size_t, std::size_t)> block_cyclic(
+    std::pair<int, int> grid) {
+  return [P = grid.first, Q = grid.second](std::size_t i, std::size_t j) {
+    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
+           static_cast<int>(j % static_cast<std::size_t>(Q));
+  };
+}
+
 namespace detail {
 
 template <typename T>

@@ -25,11 +25,8 @@ Context::Context(Options opt) : opt_(std::move(opt)) {
   emit_.tile = opt_.tile;
   emit_.attach_functional = opt_.functional_tasks;
   // Owner-computes default mapping: the paper's (P, Q) block-cyclic grid.
-  auto [P, Q] = xkb::blas::default_grid(plat_->num_gpus());
-  emit_.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
-  };
+  emit_.home =
+      xkb::blas::block_cyclic(xkb::blas::default_grid(plat_->num_gpus()));
 }
 
 Context::~Context() = default;

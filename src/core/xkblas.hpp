@@ -234,14 +234,14 @@ void Context::distribute_2d_block_cyclic_async(MatrixView<const T> m, int P,
     Q = q;
   }
   const std::size_t ts = opt_.tile;
+  const auto owner = xkb::blas::block_cyclic({P, Q});
   for (std::size_t i = 0; i < m.m; i += ts)
     for (std::size_t j = 0; j < m.n; j += ts) {
       const std::size_t bm = std::min(ts, m.m - i);
       const std::size_t bn = std::min(ts, m.n - j);
       xkb::mem::DataHandle* h =
           xkb::blas::detail::tile_handle(rt(), m, i, j, bm, bn);
-      const int dev = static_cast<int>((i / ts) % P) * Q +
-                      static_cast<int>((j / ts) % Q);
+      const int dev = owner(i / ts, j / ts);
       h->home_device = dev;
       xkb::rt::TaskDesc d;
       d.label = "dist";

@@ -296,8 +296,8 @@ WorkloadGraph composition_graph(std::size_t n, std::size_t ts) {
   // alpha=1) then C := B D + C (GEMM, NoTrans/NoTrans, alpha=beta=1), as
   // one composed task stream.  Tile-creation order and task fields mirror
   // blas::tiled_trsm / blas::tiled_gemm line by line -- test_workload.cpp
-  // asserts the bridged replay is bit-identical to the
-  // baselines/composition.cpp emission, so a drift here is a test failure,
+  // asserts the bridged replay is bit-identical to the baselines
+  // composition plan (run_composition), so a drift here is a test failure,
   // not a silent skew.
   if (n == 0 || ts == 0 || ts > n)
     throw std::invalid_argument(
@@ -377,7 +377,7 @@ WorkloadGraph composition_graph(std::size_t n, std::size_t ts) {
       }
     }
 
-  // Lazy coherency on the two results, in the composition.cpp order.
+  // Lazy coherency on the two results, in the composition plan's order.
   for (std::size_t i = 0; i < Nt; ++i)
     for (std::size_t j = 0; j < Nt; ++j) g.coherent.push_back(tile(B, i, j));
   for (std::size_t i = 0; i < Nt; ++i)

@@ -13,7 +13,7 @@
 //     data-parallel weight broadcast and weight-gradient reduction trees
 //     (libdnn-style), the traffic shape of multi-GPU training;
 //   * a `composition` capture of the paper's Fig. 8 TRSM+GEMM graph,
-//     bit-identical to the baselines/composition.cpp emission;
+//     bit-identical to the baselines composition plan (run_composition);
 //   * a small text DAG format (.wlg) with line-precise parse errors and a
 //     canonical writer, so external traces can be replayed.
 //
@@ -156,8 +156,8 @@ WorkloadGraph build(const WorkloadSpec& spec);
 /// The Fig. 8 composition (TRSM then GEMM on shared B), captured as a
 /// workload graph.  Tile-creation and task-submission order replicate
 /// blas::tiled_trsm + blas::tiled_gemm exactly, so bridging this graph into
-/// a runtime configured like baselines/composition.cpp reproduces that
-/// path's event stream bit for bit (asserted by test_workload.cpp).
+/// the run skeleton as a workload reproduces baselines::run_composition's
+/// event stream bit for bit (asserted by test_workload.cpp).
 WorkloadGraph composition_graph(std::size_t n, std::size_t tile);
 
 // --- .wlg text DAG format ------------------------------------------------

@@ -4,9 +4,11 @@
 // These run at a reduced size (N=16384, tile 2048) to stay fast.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baselines/common.hpp"
-#include "baselines/composition.hpp"
 #include "baselines/library_model.hpp"
+#include "trace/gantt.hpp"
 
 namespace xkb::baselines {
 namespace {
@@ -187,13 +189,12 @@ TEST(PaperShape, DropInReplacementRatios) {
 }
 
 TEST(PaperShape, CompositionBeatsSynchronised) {
-  // Figs. 8-9: composing TRSM+GEMM without a barrier wins.
-  ModelSpec xkblas;
-  xkblas.name = "XKBlas";
-  xkblas.heur = rt::HeuristicConfig::xkblas();
-  xkblas.prepare_window = 16;
-  const auto composed = run_trsm_gemm(xkblas, 16384, 2048, false);
-  const auto synced = run_trsm_gemm(xkblas, 16384, 2048, true);
+  // Figs. 8-9: composing TRSM+GEMM without a barrier wins.  No call
+  // overhead, so the drain between the calls is the only difference.
+  ModelSpec xkblas = spec_for_library("xkblas");
+  xkblas.call_overhead = 0.0;
+  const BenchResult composed = run_composition(xkblas, 16384, 2048, false);
+  const BenchResult synced = run_composition(xkblas, 16384, 2048, true);
   EXPECT_GT(composed.tflops, synced.tflops);
 }
 
@@ -215,13 +216,26 @@ TEST(PaperShape, XkblasImbalanceVsDmdas) {
   EXPECT_GT(xk, ch);
 }
 
+// With obs on, the result keeps the run's trace, which is what Fig. 9 draws
+// its Gantt chart from; with obs off nothing extra is kept.
 TEST(Composition, GanttIsProducedOnRequest) {
-  ModelSpec spec;
-  spec.name = "XKBlas";
-  spec.heur = rt::HeuristicConfig::xkblas();
-  const auto r = run_trsm_gemm(spec, 8192, 1024, false, /*want_gantt=*/true);
-  EXPECT_NE(r.gantt.find("GPU 0"), std::string::npos);
-  EXPECT_NE(r.gantt.find('K'), std::string::npos);
+  const ModelSpec spec = spec_for_library("xkblas");
+  EXPECT_FALSE(run_composition(spec, 8192, 1024, false).trace);
+  RunConfig cfg;
+  cfg.obs.enabled = true;
+  const BenchResult r = run_composition(spec, 8192, 1024, false, cfg);
+  ASSERT_TRUE(r.trace);
+  const std::string gantt = trace::gantt_ascii(*r.trace, 8);
+  EXPECT_NE(gantt.find("GPU 0"), std::string::npos);
+  EXPECT_NE(gantt.find('K'), std::string::npos);
+}
+
+TEST(Composition, DataOnDeviceIsRejected) {
+  RunConfig cfg;
+  cfg.data_on_device = true;
+  EXPECT_THROW(
+      run_composition(spec_for_library("xkblas"), 8192, 1024, false, cfg),
+      std::invalid_argument);
 }
 
 }  // namespace

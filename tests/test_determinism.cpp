@@ -135,7 +135,7 @@ BenchResult run_workload_once(const std::string& spec_text,
                               const rt::HeuristicConfig& heur, bool dod) {
   const wl::WorkloadGraph g = wl::build(wl::WorkloadSpec::parse(spec_text));
   const ModelSpec spec = spec_for_library("xkblas", heur);
-  WorkloadBenchConfig cfg;
+  RunConfig cfg;
   cfg.data_on_device = dod;
   cfg.check.enabled = true;
   BenchResult res = run_workload(spec, g, cfg);
@@ -230,6 +230,43 @@ TEST(Determinism, CalendarEngineMatchesHeapEngineUnderFaultsAndWorkloads) {
   EXPECT_EQ(fa.events_processed, fb.events_processed);
   expect_identical(wa, wb, "heap-vs-calendar dnn workload");
   EXPECT_EQ(wa.events_processed, wb.events_processed);
+}
+
+// The tools and Fig. 9 take their traces from obs-enabled runs, so
+// attaching obs must not change the run: for every heuristic preset, a
+// GEMM with data on host, a SYR2K with data on device, and a workload in
+// both scenarios replay the same event stream, makespan and transfers
+// checked with and without obs.
+TEST(Determinism, ObsAttachDoesNotPerturbTheRun) {
+  const wl::WorkloadGraph g =
+      wl::build(wl::WorkloadSpec::parse("stencil_1d:width=8,depth=4"));
+  for (const Preset& p : presets()) {
+    const ModelSpec spec = spec_for_library("xkblas", p.heur);
+    for (const auto& [routine, dod] :
+         {std::pair{Blas3::kGemm, false}, std::pair{Blas3::kSyr2k, true}}) {
+      BenchConfig cfg;
+      cfg.routine = routine;
+      cfg.n = 8192;
+      cfg.tile = 2048;
+      cfg.data_on_device = dod;
+      cfg.check.enabled = true;
+      const BenchResult off = LibraryModel(spec).run(cfg);
+      cfg.obs.enabled = true;
+      const BenchResult on = LibraryModel(spec).run(cfg);
+      EXPECT_TRUE(on.check_ok) << p.name << ": " << on.check_report;
+      expect_identical(off, on, p.name);
+    }
+    for (const bool dod : {false, true}) {
+      RunConfig cfg;
+      cfg.data_on_device = dod;
+      cfg.check.enabled = true;
+      const BenchResult off = run_workload(spec, g, cfg);
+      cfg.obs.enabled = true;
+      const BenchResult on = run_workload(spec, g, cfg);
+      EXPECT_TRUE(on.check_ok) << p.name << ": " << on.check_report;
+      expect_identical(off, on, p.name);
+    }
+  }
 }
 
 // Different presets drive different transfer schedules, so their event

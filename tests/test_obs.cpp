@@ -254,13 +254,9 @@ struct ObservedRun {
     blas::EmitOptions emit;
     emit.tile = tile;
     emit.attach_functional = false;
-    auto [P, Q] = blas::default_grid(plat.num_gpus());
-    emit.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-      return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-             static_cast<int>(j % static_cast<std::size_t>(Q));
-    };
+    emit.home = blas::block_cyclic(blas::default_grid(plat.num_gpus()));
     baselines::RoutinePlan plan =
-        baselines::plan_routine(runtime, routine, n, emit, P, Q);
+        baselines::plan_routine(runtime, routine, n, emit);
     plan.emit();
     plan.coherent();
     runtime.run();

@@ -61,11 +61,7 @@ void run_functional(const RunCfg& rc, MatrixView<const T> out, F&& emit) {
   rt::Runtime runtime(plat, make_sched(rc.sched), ro);
   blas::EmitOptions eo;
   eo.tile = rc.tile;
-  auto [P, Q] = blas::default_grid(plat.num_gpus());
-  eo.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
-  };
+  eo.home = blas::block_cyclic(blas::default_grid(plat.num_gpus()));
   emit(runtime, eo);
   coherent_matrix(runtime, out, rc.tile);
   runtime.run();

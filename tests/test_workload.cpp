@@ -1,13 +1,13 @@
 // xkb::wl: generator structure, spec parsing, .wlg round-trips and
 // line-precise errors, the runtime bridge under xkb::check, and the
 // bit-identical equivalence of the bridged Fig. 8 composition with the
-// baselines/composition.cpp emission.
+// baselines composition plan.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 
-#include "baselines/composition.hpp"
+#include "baselines/common.hpp"
 #include "baselines/workload_entry.hpp"
 #include "workload/bridge.hpp"
 #include "workload/workload.hpp"
@@ -18,8 +18,8 @@ namespace {
 using baselines::BenchResult;
 using baselines::ModelSpec;
 using baselines::run_workload;
+using baselines::RunConfig;
 using baselines::spec_for_library;
-using baselines::WorkloadBenchConfig;
 
 WorkloadSpec spec_of(const std::string& text) {
   return WorkloadSpec::parse(text);
@@ -223,7 +223,7 @@ TEST(Bridge, WorkloadsRunCleanUnderCheckInBothPlacements) {
                            "dnn:width=4,depth=3"}) {
     const WorkloadGraph g = build(spec_of(spec));
     for (const bool dod : {false, true}) {
-      WorkloadBenchConfig cfg;
+      RunConfig cfg;
       cfg.data_on_device = dod;
       cfg.check.enabled = true;
       const BenchResult r = run_workload(xkblas, g, cfg);
@@ -237,7 +237,7 @@ TEST(Bridge, WorkloadsRunCleanUnderCheckInBothPlacements) {
 
 TEST(Bridge, ObsMetricsReconcileForWorkloads) {
   const WorkloadGraph g = build(spec_of("stencil_1d:width=8,depth=6"));
-  WorkloadBenchConfig cfg;
+  RunConfig cfg;
   cfg.check.enabled = true;
   cfg.obs.enabled = true;
   const BenchResult r = run_workload(
@@ -246,6 +246,32 @@ TEST(Bridge, ObsMetricsReconcileForWorkloads) {
   EXPECT_TRUE(r.check_ok) << r.check_report;  // includes the obs reconcile
   EXPECT_NE(r.metrics_json.find("\"links\""), std::string::npos);
   EXPECT_NE(r.metrics_json.find("\"critical_path\""), std::string::npos);
+}
+
+// A checker violation found after a workload run leaves the same flight
+// dump as a BLAS run: the skeleton composes it for every plan.
+TEST(Bridge, CheckerViolationWritesTheFlightDump) {
+  const WorkloadGraph g = build(spec_of("tree:width=8,depth=4"));
+  RunConfig cfg;
+  cfg.check.enabled = true;
+  cfg.check.faults.drop_completion_task = 9;  // its successors never run
+  cfg.obs.enabled = true;
+  const BenchResult r = run_workload(
+      spec_for_library("xkblas", rt::HeuristicConfig::xkblas()), g, cfg);
+  ASSERT_FALSE(r.failed) << r.error;
+  EXPECT_FALSE(r.check_ok);
+  ASSERT_FALSE(r.flight_json.empty());
+  EXPECT_NE(r.flight_json.find("\"checker-violation\""), std::string::npos);
+}
+
+// Workload runs validate their config like BLAS runs: no device memory is
+// rejected up front instead of deferring on out-of-memory until failure.
+TEST(Bridge, ZeroDeviceCapacityIsRejected) {
+  const WorkloadGraph g = build(spec_of("stencil_1d:width=4,depth=2"));
+  RunConfig cfg;
+  cfg.device_capacity = 0;
+  EXPECT_THROW(run_workload(spec_for_library("xkblas"), g, cfg),
+               std::invalid_argument);
 }
 
 TEST(Bridge, SpecForLibraryRejectsUnknownNamesWithTheList) {
@@ -262,22 +288,21 @@ TEST(Bridge, SpecForLibraryRejectsUnknownNamesWithTheList) {
 // --- Fig. 8 equivalence --------------------------------------------------
 
 // The composition capture replayed through the generic bridge must
-// reproduce baselines/composition.cpp bit for bit: same virtual makespan,
-// same event-stream hash.  This is the proof that the bridge adds no second
-// semantics -- a workload task graph and a BLAS emission are the same thing
-// to the runtime.
+// reproduce the baselines composition plan bit for bit: same virtual
+// makespan, same event-stream hash.  This is the proof that the bridge adds
+// no second semantics -- a workload task graph and a BLAS emission are the
+// same thing to the runtime.
 TEST(Composition, BridgedReplayIsBitIdenticalToTheBlasEmission) {
   const ModelSpec xkblas =
       spec_for_library("xkblas", rt::HeuristicConfig::xkblas());
-  const baselines::CompositionResult ref = baselines::run_trsm_gemm(
-      xkblas, 8192, 2048, /*sync_between_calls=*/false, /*want_gantt=*/false,
-      /*gantt_width=*/100, /*with_check=*/true);
+  RunConfig cfg;
+  cfg.check.enabled = true;
+  const BenchResult ref = baselines::run_composition(
+      xkblas, 8192, 2048, /*sync_between_calls=*/false, cfg);
   EXPECT_TRUE(ref.check_ok);
 
   const WorkloadGraph g = composition_graph(8192, 2048);
   EXPECT_TRUE(g.grid_placement);
-  WorkloadBenchConfig cfg;
-  cfg.check.enabled = true;
   const BenchResult r = run_workload(xkblas, g, cfg);
   EXPECT_FALSE(r.failed) << r.error;
   EXPECT_TRUE(r.check_ok) << r.check_report;
@@ -292,11 +317,11 @@ TEST(Composition, BridgedReplayIsBitIdenticalToTheBlasEmission) {
 TEST(Composition, BridgedReplayMatchesUnderTheAblationToo) {
   const ModelSpec blind =
       spec_for_library("xkblas", rt::HeuristicConfig::no_heuristic_no_topo());
-  const baselines::CompositionResult ref = baselines::run_trsm_gemm(
-      blind, 8192, 2048, false, false, 100, /*with_check=*/true);
-  const WorkloadGraph g = composition_graph(8192, 2048);
-  WorkloadBenchConfig cfg;
+  RunConfig cfg;
   cfg.check.enabled = true;
+  const BenchResult ref = baselines::run_composition(
+      blind, 8192, 2048, /*sync_between_calls=*/false, cfg);
+  const WorkloadGraph g = composition_graph(8192, 2048);
   const BenchResult r = run_workload(blind, g, cfg);
   EXPECT_FALSE(r.failed) << r.error;
   EXPECT_EQ(r.event_hash, ref.event_hash);

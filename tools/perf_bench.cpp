@@ -573,7 +573,7 @@ int main(int argc, char** argv) {
       spec_for_library("xkblas", rt::HeuristicConfig::xkblas());
   for (const char* spec_text : wl_specs) {
     const wl::WorkloadGraph g = wl::build(wl::WorkloadSpec::parse(spec_text));
-    WorkloadBenchConfig cfg;
+    RunConfig cfg;
     E2eRow row;
     row.kind = "workload";
     row.name = spec_text;

@@ -17,16 +17,12 @@
 // --assert-coverage 0.9 gates the attribution quality).
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "baselines/common.hpp"
-#include "blas/tiled.hpp"
+#include "baselines/library_model.hpp"
 #include "obs/ledger.hpp"
-#include "runtime/runtime.hpp"
-#include "runtime/scheduler.hpp"
-#include "util/flops.hpp"
+#include "util/json.hpp"
 
 using namespace xkb;
 using namespace xkb::baselines;
@@ -38,11 +34,13 @@ void usage() {
       "usage: run_diff <a.json> <b.json> [options]\n"
       "       run_diff --routine R [--n N] [--tile T] [--topo T] [options]\n"
       "  <a.json> <b.json>  two saved ledgers (schema xkb.obs.ledger/1)\n"
-      "  --routine R    gemm|symm|syrk|syr2k|trmm|trsm: run XKBlas (side A)\n"
-      "                 vs the no-heuristic/no-topo ablation (side B)\n"
+      "  --routine R    gemm|symm|syrk|syr2k|trmm|trsm|hemm|herk|her2k: run\n"
+      "                 XKBlas (side A) vs the no-heuristic/no-topo\n"
+      "                 ablation (side B)\n"
       "  --n N          matrix dimension (default 16384)\n"
       "  --tile T       tile size (default 2048)\n"
-      "  --topo T       dgx1|pcie|nvswitch|summit (default dgx1)\n"
+      "  --topo T       dgx1|pcie|nvswitch|summit, a tdl preset name or a\n"
+      "                 .tpo machine file (default dgx1)\n"
       "  --data-on-device   2D block-cyclic pre-distribution scenario\n"
       "  --emit-a F     write side A's ledger JSON to F (direct mode)\n"
       "  --emit-b F     write side B's ledger JSON to F (direct mode)\n"
@@ -54,72 +52,16 @@ void usage() {
       "                 report byte for byte\n");
 }
 
-topo::Topology parse_topo(const std::string& t) {
-  if (t == "dgx1") return topo::Topology::dgx1();
-  if (t == "pcie") return topo::Topology::pcie_only(8);
-  if (t == "nvswitch") return topo::Topology::nvswitch(8);
-  if (t == "summit") return topo::Topology::summit_like();
-  throw std::invalid_argument("unknown topology: " + t);
-}
-
-Blas3 parse_routine(const std::string& r) {
-  if (r == "gemm") return Blas3::kGemm;
-  if (r == "symm") return Blas3::kSymm;
-  if (r == "syrk") return Blas3::kSyrk;
-  if (r == "syr2k") return Blas3::kSyr2k;
-  if (r == "trmm") return Blas3::kTrmm;
-  if (r == "trsm") return Blas3::kTrsm;
-  throw std::invalid_argument("unknown routine: " + r);
-}
-
-/// One direct XKBlas-runtime run with observability and the checker
-/// attached, captured as a ledger.  Same skeleton (task_overhead, prepare
-/// window, block-cyclic homes) as trace_report's compare mode, so the two
-/// tools describe the same pair of runs.
-obs::RunLedger run_direct(std::string lib, Blas3 routine, std::size_t n,
-                          std::size_t tile, const topo::Topology& topo,
-                          rt::HeuristicConfig heur, bool data_on_device) {
-  rt::Platform plat(topo, rt::PerfModel{}, {});
-  obs::Observability o(plat.num_gpus());
-  plat.set_obs(&o);
-  rt::RuntimeOptions ropt;
-  ropt.heuristics = heur;
-  ropt.task_overhead = 3e-6;
-  ropt.prepare_window = 16;
-  ropt.check.enabled = true;  // the ledger's event_hash comes from here
-  rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(),
-                      ropt);
-  blas::EmitOptions emit;
-  emit.tile = tile;
-  emit.attach_functional = false;
-  auto [P, Q] = blas::default_grid(plat.num_gpus());
-  emit.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
-  };
-  RoutinePlan plan = plan_routine(runtime, routine, n, emit, P, Q);
-  if (data_on_device) {
-    plan.distribute();
-    runtime.run();
-    plat.trace().clear();
-    o.clear();
-    plan.emit();
-  } else {
-    plan.emit();
-    plan.coherent();
-  }
-  runtime.run();
-  o.finalize_registry();
-  obs::LedgerMeta lm;
-  lm.lib = std::move(lib);
-  lm.routine = blas3_name(routine);
-  lm.scenario = data_on_device ? "data-on-device" : "data-on-host";
-  lm.n = n;
-  lm.tile = tile;
-  const std::uint64_t hash =
-      runtime.checker() ? runtime.checker()->event_hash() : 0;
-  return obs::build_ledger(plat.trace(), plat.topology(), &o, hash,
-                           std::move(lm));
+/// One checked, observed run of the paper benchmark through the library
+/// models' skeleton, captured as a ledger named `lib`.  trace_report's
+/// compare mode runs the same pair.
+obs::RunLedger run_direct(const std::string& lib, rt::HeuristicConfig heur,
+                          const BenchConfig& cfg) {
+  ModelSpec spec = spec_for_library("xkblas", heur);
+  spec.name = lib;
+  const BenchResult r = LibraryModel(std::move(spec)).run(cfg);
+  if (r.failed) throw std::runtime_error(lib + " run failed: " + r.error);
+  return obs::ledger_from_json(util::json_parse(r.ledger_json));
 }
 
 bool write_file(const std::string& path, const std::string& text) {
@@ -186,13 +128,18 @@ int main(int argc, char** argv) {
 
   try {
     obs::RunLedger a, b;
+    BenchConfig cfg;
     if (direct) {
-      const topo::Topology topo = parse_topo(topo_name);
-      const Blas3 r = parse_routine(routine);
-      a = run_direct("xkblas", r, n, tile, topo,
-                     rt::HeuristicConfig::xkblas(), dod);
-      b = run_direct("nohint-notopo", r, n, tile, topo,
-                     rt::HeuristicConfig::no_heuristic_no_topo(), dod);
+      cfg.routine = parse_routine(routine);
+      cfg.n = n;
+      cfg.tile = tile;
+      cfg.topology = parse_topo(topo_name);
+      cfg.data_on_device = dod;
+      cfg.check.enabled = true;  // the ledger's event_hash comes from here
+      cfg.obs.enabled = true;
+      a = run_direct("xkblas", rt::HeuristicConfig::xkblas(), cfg);
+      b = run_direct("nohint-notopo",
+                     rt::HeuristicConfig::no_heuristic_no_topo(), cfg);
       if (!emit_a.empty() && !write_file(emit_a, obs::ledger_json(a)))
         return 1;
       if (!emit_b.empty() && !write_file(emit_b, obs::ledger_json(b)))
@@ -215,12 +162,9 @@ int main(int argc, char** argv) {
       // in ledgers, diff, text, or JSON fails the gate.
       obs::RunLedger a2, b2;
       if (direct) {
-        const topo::Topology topo = parse_topo(topo_name);
-        const Blas3 r = parse_routine(routine);
-        a2 = run_direct("xkblas", r, n, tile, topo,
-                        rt::HeuristicConfig::xkblas(), dod);
-        b2 = run_direct("nohint-notopo", r, n, tile, topo,
-                        rt::HeuristicConfig::no_heuristic_no_topo(), dod);
+        a2 = run_direct("xkblas", rt::HeuristicConfig::xkblas(), cfg);
+        b2 = run_direct("nohint-notopo",
+                        rt::HeuristicConfig::no_heuristic_no_topo(), cfg);
       } else {
         a2 = obs::ledger_from_file(path_a);
         b2 = obs::ledger_from_file(path_b);

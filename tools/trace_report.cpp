@@ -16,13 +16,11 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
-#include "baselines/common.hpp"
-#include "blas/tiled.hpp"
+#include "baselines/library_model.hpp"
 #include "obs/report.hpp"
-#include "runtime/runtime.hpp"
-#include "runtime/scheduler.hpp"
 #include "trace/export.hpp"
 
 using namespace xkb;
@@ -36,11 +34,13 @@ void usage() {
       "       trace_report --routine R --n N [--tile T] [--topo T] "
       "[--json F]\n"
       "  <trace.csv>    a file written from trace::to_csv (e.g. by tests)\n"
-      "  --routine R    gemm|symm|syrk|syr2k|trmm|trsm (compare mode:\n"
-      "                 XKBlas vs the no-heuristic/no-topo ablation)\n"
+      "  --routine R    gemm|symm|syrk|syr2k|trmm|trsm|hemm|herk|her2k\n"
+      "                 (compare mode: XKBlas vs the no-heuristic/no-topo\n"
+      "                 ablation)\n"
       "  --n N          matrix dimension (default 16384)\n"
       "  --tile T       tile size (default 2048)\n"
-      "  --topo T       dgx1|pcie|nvswitch|summit (default dgx1)\n"
+      "  --topo T       dgx1|pcie|nvswitch|summit, a tdl preset name or a\n"
+      "                 .tpo machine file (default dgx1)\n"
       "  --data-on-device   2D block-cyclic pre-distribution scenario\n"
       "  --cp-ops       print every operation on the critical path\n"
       "  --assert-nvlink-shift  exit 5 unless the heuristics-on run puts a\n"
@@ -49,28 +49,10 @@ void usage() {
       "  --json F       also write the report(s) as JSON to F\n");
 }
 
-topo::Topology parse_topo(const std::string& t) {
-  if (t == "dgx1") return topo::Topology::dgx1();
-  if (t == "pcie") return topo::Topology::pcie_only(8);
-  if (t == "nvswitch") return topo::Topology::nvswitch(8);
-  if (t == "summit") return topo::Topology::summit_like();
-  throw std::invalid_argument("unknown topology: " + t);
-}
-
-Blas3 parse_routine(const std::string& r) {
-  if (r == "gemm") return Blas3::kGemm;
-  if (r == "symm") return Blas3::kSymm;
-  if (r == "syrk") return Blas3::kSyrk;
-  if (r == "syr2k") return Blas3::kSyr2k;
-  if (r == "trmm") return Blas3::kTrmm;
-  if (r == "trsm") return Blas3::kTrsm;
-  throw std::invalid_argument("unknown routine: " + r);
-}
-
 struct DirectRun {
   obs::RunReport rep;
   std::string json;
-  trace::Trace trace;
+  std::shared_ptr<const trace::Trace> trace;
 };
 
 /// Print every step of the critical path (--cp-ops).
@@ -90,48 +72,14 @@ void dump_cp(const obs::RunReport& rep, const trace::Trace& tr,
   }
 }
 
-/// One direct XKBlas-runtime run with observability attached (same skeleton
-/// as xkbsim_cli --trace-out).
-DirectRun run_direct(Blas3 routine, std::size_t n, std::size_t tile,
-                     const topo::Topology& topo, rt::HeuristicConfig heur,
-                     bool data_on_device) {
-  rt::Platform plat(topo, rt::PerfModel{}, {});
-  obs::Observability o(plat.num_gpus());
-  plat.set_obs(&o);
-  rt::RuntimeOptions ropt;
-  ropt.heuristics = heur;
-  ropt.task_overhead = 3e-6;
-  ropt.prepare_window = 16;
-  rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(),
-                      ropt);
-  blas::EmitOptions emit;
-  emit.tile = tile;
-  emit.attach_functional = false;
-  auto [P, Q] = blas::default_grid(plat.num_gpus());
-  emit.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
-  };
-  RoutinePlan plan = plan_routine(runtime, routine, n, emit, P, Q);
-  if (data_on_device) {
-    // Same skeleton as the library models: distribute to the block-cyclic
-    // homes first, then observe only the measured compute phase.
-    plan.distribute();
-    runtime.run();
-    plat.trace().clear();
-    o.clear();
-    plan.emit();
-  } else {
-    plan.emit();
-    plan.coherent();
-  }
-  runtime.run();
-  o.finalize_registry();
-  DirectRun r;
-  r.rep = obs::build_report(plat.trace(), plat.topology(), &o);
-  r.json = obs::report_json(r.rep, &o);
-  r.trace = plat.trace();
-  return r;
+/// One observed XKBlas run of the paper benchmark through the library
+/// models' skeleton (run_diff's direct mode runs the same pair).
+DirectRun run_direct(rt::HeuristicConfig heur, const BenchConfig& cfg) {
+  const BenchResult r =
+      LibraryModel(spec_for_library("xkblas", heur)).run(cfg);
+  if (r.failed) throw std::runtime_error("run failed: " + r.error);
+  return {obs::build_report(*r.trace, cfg.topology, r.obs.get()),
+          r.metrics_json, r.trace};
 }
 
 }  // namespace
@@ -193,19 +141,23 @@ int main(int argc, char** argv) {
     }
 
     // Compare mode: both heuristics on vs the paper's full ablation.
-    const Blas3 r = parse_routine(routine);
-    const DirectRun on =
-        run_direct(r, n, tile, topo, rt::HeuristicConfig::xkblas(), dod);
+    BenchConfig cfg;
+    cfg.routine = parse_routine(routine);
+    cfg.n = n;
+    cfg.tile = tile;
+    cfg.topology = topo;
+    cfg.data_on_device = dod;
+    cfg.obs.enabled = true;
+    const DirectRun on = run_direct(rt::HeuristicConfig::xkblas(), cfg);
     const DirectRun off =
-        run_direct(r, n, tile, topo,
-                   rt::HeuristicConfig::no_heuristic_no_topo(), dod);
+        run_direct(rt::HeuristicConfig::no_heuristic_no_topo(), cfg);
 
     std::printf("=== XKBlas (topo-aware + optimistic D2D) ===\n%s\n",
                 obs::report_text(on.rep).c_str());
-    if (cp_ops) dump_cp(on.rep, on.trace, topo);
+    if (cp_ops) dump_cp(on.rep, *on.trace, topo);
     std::printf("=== ablation (no heuristic, no topo) ===\n%s\n",
                 obs::report_text(off.rep).c_str());
-    if (cp_ops) dump_cp(off.rep, off.trace, topo);
+    if (cp_ops) dump_cp(off.rep, *off.trace, topo);
     std::printf("NVLink share of critical-path transfer time: "
                 "%.1f%% (heuristics on) vs %.1f%% (ablation)\n",
                 100.0 * on.rep.cp.nvlink_share(),

@@ -23,14 +23,13 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baselines/workload_entry.hpp"
 #include "obs/provenance.hpp"
 #include "obs/report.hpp"
-#include "runtime/scheduler.hpp"
-#include "workload/bridge.hpp"
 #include "workload/workload.hpp"
 
 using namespace xkb;
@@ -51,16 +50,8 @@ void usage() {
       "  --emit SPEC        build a generator graph ...\n"
       "  --out F            ... and write it as canonical .wlg to F\n"
       "  --json F           write the run rows as a JSON artifact (--check)\n"
-      "  --topo T           dgx1|pcie|nvswitch|summit (default dgx1)\n");
-}
-
-topo::Topology parse_topo(const std::string& t) {
-  if (t == "dgx1") return topo::Topology::dgx1();
-  if (t == "pcie") return topo::Topology::pcie_only(8);
-  if (t == "nvswitch") return topo::Topology::nvswitch(8);
-  if (t == "summit") return topo::Topology::summit_like();
-  throw std::invalid_argument("unknown topology '" + t +
-                              "' (accepted: dgx1|pcie|nvswitch|summit)");
+      "  --topo T           dgx1|pcie|nvswitch|summit, a tdl preset name or\n"
+      "                     a .tpo machine file (default dgx1)\n");
 }
 
 /// The sweep's library column: the three Fig. 3 heuristic variants.
@@ -90,57 +81,27 @@ struct SweepRow {
   std::size_t tasks = 0, h2d = 0, d2d = 0, d2h = 0, optimistic_waits = 0;
 };
 
-/// One direct run with observability retained (the trace dies with the
-/// platform, so link-class byte totals must be computed here, not from a
-/// BenchResult).
+/// One observed run through the library models' skeleton, reduced to the
+/// gate's link-class byte totals and critical-path share.
 struct DirectWorkloadRun {
   double span = 0.0;
   double pcie_host_bytes = 0.0;
   double nvlink_bytes = 0.0;
   double nvlink_cp_share = 0.0;
-  std::string json;
 };
 
 DirectWorkloadRun run_direct(const wl::WorkloadGraph& g,
                              const topo::Topology& topo,
                              rt::HeuristicConfig heur, bool dod) {
-  rt::Platform plat(topo, rt::PerfModel{}, {});
-  obs::Observability o(plat.num_gpus());
-  plat.set_obs(&o);
-  rt::RuntimeOptions ropt;
-  ropt.heuristics = heur;
-  ropt.task_overhead = 3e-6;
-  ropt.prepare_window = 16;
-  rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(),
-                      ropt);
-
-  wl::BridgeOptions bopt;
-  if (g.grid_placement) {
-    auto [P, Q] = blas::default_grid(plat.num_gpus());
-    bopt.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-      return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-             static_cast<int>(j % static_cast<std::size_t>(Q));
-    };
-  } else {
-    bopt.home = [n = plat.num_gpus()](std::size_t i, std::size_t) {
-      return static_cast<int>(i % static_cast<std::size_t>(n));
-    };
-  }
-  wl::Bridge bridge(runtime, g, std::move(bopt));
-  if (dod) {
-    bridge.distribute();
-    runtime.run();
-    plat.trace().clear();
-    o.clear();
-    bridge.emit();
-  } else {
-    bridge.emit();
-    bridge.coherent();
-  }
-  runtime.run();
-  o.finalize_registry();
-
-  const obs::RunReport rep = obs::build_report(plat.trace(), topo, &o);
+  RunConfig cfg;
+  cfg.data_on_device = dod;
+  cfg.topology = topo;
+  cfg.obs.enabled = true;
+  const BenchResult res =
+      run_workload(spec_for_library("xkblas", heur), g, cfg);
+  if (res.failed) throw std::runtime_error(g.name + ": " + res.error);
+  const obs::RunReport rep =
+      obs::build_report(*res.trace, topo, res.obs.get());
   DirectWorkloadRun r;
   r.span = rep.span;
   for (const obs::LinkRow& row : rep.links) {
@@ -150,7 +111,6 @@ DirectWorkloadRun run_direct(const wl::WorkloadGraph& g,
       r.nvlink_bytes += static_cast<double>(row.bytes);
   }
   r.nvlink_cp_share = rep.cp.nvlink_share();
-  r.json = obs::report_json(rep, &o);
   return r;
 }
 
@@ -329,7 +289,7 @@ int main(int argc, char** argv) {
             row.workload = g.name;
             row.lib = lv.name;
             row.scenario = dod ? "data-on-device" : "data-on-host";
-            WorkloadBenchConfig cfg;
+            RunConfig cfg;
             cfg.data_on_device = dod;
             cfg.topology = topo;
             cfg.check.enabled = true;

@@ -13,20 +13,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 
-#include "baselines/common.hpp"
 #include "baselines/library_model.hpp"
 #include "baselines/workload_entry.hpp"
-#include <fstream>
-
 #include "fault/fault.hpp"
-#include "obs/ledger.hpp"
 #include "obs/report.hpp"
-#include "tdl/presets.hpp"
 #include "tdl/tpo.hpp"
-#include "trace/export.hpp"
-#include "trace/gantt.hpp"
 #include "util/selfprof.hpp"
 #include "util/table.hpp"
 #include "workload/workload.hpp"
@@ -78,8 +72,7 @@ void usage() {
       "                 exit 3 and print the report on any violation\n"
       "  --hash         print the FNV-1a event-stream hash (implies --check)\n"
       "  --metrics-out F  xkb::obs metrics + link-utilization + critical-path\n"
-      "                 JSON to file F (any --lib; with --trace-out the same\n"
-      "                 direct run feeds both files)\n"
+      "                 JSON to file F\n"
       "  --ledger-out F run ledger (schema xkb.obs.ledger/1: decisions,\n"
       "                 link histograms, critical path, event hash) to file\n"
       "                 F, for offline diffing with tools/run_diff\n"
@@ -89,9 +82,9 @@ void usage() {
       "  --flight-out F write the crash flight-recorder dump (last-N\n"
       "                 observable events + decisions + ledger snapshot,\n"
       "                 schema xkb.obs.flight/1) to F if the run fails\n"
-      "  --trace-out F  own XKBlas run, Chrome trace-event JSON to file F,\n"
-      "                 enriched with decision/flow/counter tracks\n"
-      "                 (--trace-json is an alias; BLAS routines only)\n"
+      "  --trace-out F  the run's Chrome trace-event JSON to file F, enriched\n"
+      "                 with decision/flow/counter tracks (--trace-json is an\n"
+      "                 alias)\n"
       "\n"
       "fault injection (xkb::fault):\n"
       "  --fault-plan F run under the xkb::fault plan in file F\n"
@@ -134,53 +127,6 @@ double parse_double(const std::string& flag, const std::string& v) {
   if (v.empty() || pos != v.size())
     throw std::invalid_argument(flag + ": '" + v + "' is not a number");
   return x;
-}
-
-Blas3 parse_routine(const std::string& r) {
-  if (r == "gemm") return Blas3::kGemm;
-  if (r == "symm") return Blas3::kSymm;
-  if (r == "syrk") return Blas3::kSyrk;
-  if (r == "syr2k") return Blas3::kSyr2k;
-  if (r == "trmm") return Blas3::kTrmm;
-  if (r == "trsm") return Blas3::kTrsm;
-  if (r == "hemm") return Blas3::kHemm;
-  if (r == "herk") return Blas3::kHerk;
-  if (r == "her2k") return Blas3::kHer2k;
-  throw std::invalid_argument("unknown routine '" + r +
-                              "' (accepted: " + kRoutines + ")");
-}
-
-std::unique_ptr<LibraryModel> parse_lib(const std::string& l,
-                                        rt::HeuristicConfig heur) {
-  if (l == "xkblas") return make_xkblas(heur);
-  if (l == "blasx") return make_blasx();
-  if (l == "chameleon-tile") return make_chameleon(true);
-  if (l == "chameleon-lapack") return make_chameleon(false);
-  if (l == "cublas-xt") return make_cublasxt();
-  if (l == "cublas-mg") return make_cublasmg();
-  if (l == "dplasma") return make_dplasma();
-  if (l == "slate") return make_slate();
-  throw std::invalid_argument("unknown library '" + l +
-                              "' (accepted: " + lib_list() + ")");
-}
-
-topo::Topology parse_topo(const std::string& t) {
-  if (t == "dgx1") return topo::Topology::dgx1();
-  if (t == "pcie") return topo::Topology::pcie_only(8);
-  if (t == "nvswitch") return topo::Topology::nvswitch(8);
-  if (t == "summit") return topo::Topology::summit_like();
-  // Anything ending in .tpo is a machine description file.
-  if (t.size() > 4 && t.compare(t.size() - 4, 4, ".tpo") == 0)
-    return topo::Topology::from_tpo_file(t);
-  // Fall through to the tdl preset registry (fat_tree_2x8, pcie8, ...), so
-  // every preset a .tpo file can be generated from is also runnable.
-  try {
-    return topo::Topology::from_machine(tdl::preset_machine(t));
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("unknown topology '" + t +
-                                "' (accepted: " + kTopos +
-                                "|<tdl preset>|<file.tpo>)");
-  }
 }
 
 bool parse_scenario(const std::string& s) {
@@ -283,79 +229,8 @@ int main(int argc, char** argv) {
           fault::FaultPlan::random(fault_seed, topology.num_gpus(),
                                    fault_horizon);
 
-    if (!trace_json.empty()) {
-      // Direct run with the trace retained, exported for chrome://tracing.
-      BenchConfig cfg;
-      cfg.routine = parse_routine(routine);
-      cfg.n = n;
-      cfg.tile = tile;
-      cfg.topology = topology;
-      rt::Platform plat(cfg.topology, cfg.perf, {});
-      obs::Observability o(plat.num_gpus());
-      plat.set_obs(&o);  // before the Runtime: it caches series pointers
-      rt::RuntimeOptions ropt;
-      ropt.heuristics = heur;
-      ropt.task_overhead = 3e-6;
-      ropt.prepare_window = 16;
-      ropt.check.enabled = check;
-      rt::Runtime runtime(plat,
-                          std::make_unique<rt::OwnerComputesScheduler>(),
-                          ropt);
-      blas::EmitOptions emit;
-      emit.tile = cfg.tile;
-      emit.attach_functional = false;
-      auto [P, Q] = blas::default_grid(plat.num_gpus());
-      emit.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-        return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-               static_cast<int>(j % static_cast<std::size_t>(Q));
-      };
-      RoutinePlan plan = plan_routine(runtime, cfg.routine, cfg.n, emit, P, Q);
-      plan.emit();
-      plan.coherent();
-      const double t = runtime.run();
-      if (const check::Checker* c = runtime.checker()) {
-        if (hash) std::printf("event_hash: %016llx\n",
-                              static_cast<unsigned long long>(c->event_hash()));
-        if (!c->ok()) {
-          std::fprintf(stderr, "xkb::check: %zu violation(s)\n%s",
-                       c->total_violations(), c->report().c_str());
-          return 3;
-        }
-      }
-      o.finalize_registry();
-      std::ofstream out(trace_json);
-      out << obs::to_chrome_json(plat.trace(), o);
-      std::printf("XKBlas %s N=%zu: %.2f TFlop/s; %zu trace events, "
-                  "%zu decisions, %zu chains -> %s\n",
-                  blas3_name(cfg.routine), n, plan.flops / t / 1e12,
-                  plat.trace().records().size(), o.decisions().size(),
-                  o.flows().size(), trace_json.c_str());
-      if (!metrics_out.empty()) {
-        const obs::RunReport rep =
-            obs::build_report(plat.trace(), plat.topology(), &o);
-        std::ofstream mout(metrics_out);
-        mout << obs::report_json(rep, &o);
-        std::printf("metrics -> %s\n", metrics_out.c_str());
-      }
-      if (!ledger_out.empty()) {
-        obs::LedgerMeta lm;
-        lm.lib = "xkblas";
-        lm.routine = blas3_name(cfg.routine);
-        lm.scenario = "direct";
-        lm.n = cfg.n;
-        lm.tile = cfg.tile;
-        lm.seed = fault_plan.seed;
-        std::uint64_t h = 0;
-        if (const check::Checker* c = runtime.checker()) h = c->event_hash();
-        std::ofstream lout(ledger_out);
-        lout << obs::ledger_json(
-            obs::build_ledger(plat.trace(), plat.topology(), &o, h, lm));
-        std::printf("ledger -> %s\n", ledger_out.c_str());
-      }
-      selfprof_report();
-      return 0;
-    }
-
+    const bool obs_on = !metrics_out.empty() || !ledger_out.empty() ||
+                        !flight_out.empty() || !trace_json.empty();
     BenchResult r;
     std::string experiment;  // header / CSV experiment column
     char header[256];
@@ -365,12 +240,11 @@ int main(int argc, char** argv) {
               ? wl::build(wl::WorkloadSpec::parse(workload))
               : wl::parse_wlg_file(workload_file);
       const ModelSpec spec = spec_for_library(lib, heur);
-      WorkloadBenchConfig wcfg;
+      RunConfig wcfg;
       wcfg.data_on_device = dod;
       wcfg.topology = topology;
       wcfg.check.enabled = check;
-      wcfg.obs.enabled = !metrics_out.empty() || !ledger_out.empty() ||
-                         !flight_out.empty();
+      wcfg.obs.enabled = obs_on;
       wcfg.fault_plan = fault_plan;
       r = run_workload(spec, g, wcfg);
       experiment = g.name;
@@ -385,16 +259,15 @@ int main(int argc, char** argv) {
       cfg.topology = topology;
       cfg.data_on_device = dod;
       cfg.check.enabled = check;
-      cfg.obs.enabled = !metrics_out.empty() || !ledger_out.empty() ||
-                        !flight_out.empty();
+      cfg.obs.enabled = obs_on;
       cfg.fault_plan = fault_plan;
-      auto model = parse_lib(lib, heur);
-      if (!model->supports(cfg.routine)) {
+      const LibraryModel model(spec_for_library(lib, heur));
+      if (!model.supports(cfg.routine)) {
         std::fprintf(stderr, "%s does not implement %s\n", lib.c_str(),
                      blas3_name(cfg.routine));
         return 1;
       }
-      r = model->run(cfg);
+      r = model.run(cfg);
       experiment = routine;
       std::snprintf(header, sizeof header, "%s %s N=%zu tile=%zu on %s%s\n",
                     lib.c_str(), blas3_name(cfg.routine), n, tile,
@@ -432,6 +305,13 @@ int main(int argc, char** argv) {
         lout << r.ledger_json;
         std::printf("ledger -> %s\n", ledger_out.c_str());
       }
+    }
+    if (!trace_json.empty()) {
+      std::ofstream tout(trace_json);
+      tout << obs::to_chrome_json(*r.trace, *r.obs);
+      std::printf("trace -> %s (%zu events, %zu decisions, %zu chains)\n",
+                  trace_json.c_str(), r.trace->records().size(),
+                  r.obs->decisions().size(), r.obs->flows().size());
     }
 
     if (csv) {
