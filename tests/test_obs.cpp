@@ -434,25 +434,28 @@ TEST(Ledger, JsonRoundTripIsByteLossless) {
   EXPECT_EQ(l.decisions.size(), l2.decisions.size());
 }
 
-// Byte-for-byte golden pin of the enriched Perfetto/Chrome export on a tiny
-// fixed run.  Any intentional change to the export format must regenerate
-// the golden with XKB_UPDATE_GOLDEN=1.
-TEST(Export, PerfettoGoldenFileIsByteForByteStable) {
-  // Pin the provenance stamp so the artifact does not vary per commit.
-  setenv("XKB_GIT_DESCRIBE", "golden", 1);
-  setenv("XKB_BUILD_TYPE", "golden", 1);
-  setenv("XKB_RUN_DATE", "golden", 1);
-  ObservedRun r(Blas3::kGemm, 2048, 1024);
-  const std::string j = to_chrome_json(r.plat.trace(), r.o);
-  unsetenv("XKB_GIT_DESCRIBE");
-  unsetenv("XKB_BUILD_TYPE");
-  unsetenv("XKB_RUN_DATE");
+// Pins the provenance stamp so a golden artifact does not vary per commit.
+struct PinnedProvenance {
+  PinnedProvenance() {
+    setenv("XKB_GIT_DESCRIBE", "golden", 1);
+    setenv("XKB_BUILD_TYPE", "golden", 1);
+    setenv("XKB_RUN_DATE", "golden", 1);
+  }
+  ~PinnedProvenance() {
+    unsetenv("XKB_GIT_DESCRIBE");
+    unsetenv("XKB_BUILD_TYPE");
+    unsetenv("XKB_RUN_DATE");
+  }
+};
 
-  const std::string path = std::string(XKB_GOLDEN_DIR) + "/perfetto_tiny.json";
+// Compare `got` byte for byte against tests/golden/<file>.  Any intentional
+// change to the artifact must regenerate the golden with XKB_UPDATE_GOLDEN=1.
+void expect_golden(const std::string& file, const std::string& got) {
+  const std::string path = std::string(XKB_GOLDEN_DIR) + "/" + file;
   if (std::getenv("XKB_UPDATE_GOLDEN")) {
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out) << "cannot write " << path;
-    out << j;
+    out << got;
     GTEST_SKIP() << "golden regenerated at " << path;
   }
   std::ifstream in(path, std::ios::binary);
@@ -460,9 +463,69 @@ TEST(Export, PerfettoGoldenFileIsByteForByteStable) {
                   << " (run with XKB_UPDATE_GOLDEN=1 to generate)";
   std::stringstream want;
   want << in.rdbuf();
-  ASSERT_EQ(want.str().size(), j.size())
-      << "Perfetto export size drifted; regenerate the golden if intended";
-  EXPECT_EQ(want.str(), j);
+  ASSERT_EQ(want.str().size(), got.size())
+      << file << " size drifted; regenerate the golden if intended";
+  EXPECT_EQ(want.str(), got) << file;
+}
+
+// Byte-for-byte golden pin of the enriched Perfetto/Chrome export on a tiny
+// fixed run.
+TEST(Export, PerfettoGoldenFileIsByteForByteStable) {
+  std::string j;
+  {
+    PinnedProvenance pin;
+    ObservedRun r(Blas3::kGemm, 2048, 1024);
+    j = to_chrome_json(r.plat.trace(), r.o);
+  }
+  expect_golden("perfetto_tiny.json", j);
+}
+
+// Byte-for-byte pins of a real run's metrics registry and ledger.  The
+// data-on-device run clears the trace and obs after its distribution phase,
+// so the registry must describe only the measured phase.
+TEST(ObsGolden, Syr2kDataOnDeviceMetricsAndLedger) {
+  PinnedProvenance pin;
+  baselines::BenchConfig cfg;
+  cfg.routine = Blas3::kSyr2k;
+  cfg.n = 2048;
+  cfg.tile = 512;
+  cfg.data_on_device = true;
+  cfg.check.enabled = true;
+  cfg.obs.enabled = true;
+  const baselines::BenchResult r =
+      baselines::make_xkblas(rt::HeuristicConfig::xkblas())->run(cfg);
+  ASSERT_FALSE(r.failed) << r.error;
+  ASSERT_TRUE(r.check_ok) << r.check_report;
+  expect_golden("metrics_syr2k_dod.json", r.metrics_json);
+  expect_golden("ledger_syr2k_dod.json", r.ledger_json);
+}
+
+// Aborts and retries feed the registry too: a seeded plan of transient
+// transfer failures on a data-on-host GEMM.
+TEST(ObsGolden, GemmTransientFailuresMetrics) {
+  PinnedProvenance pin;
+  baselines::BenchConfig cfg;
+  cfg.routine = Blas3::kGemm;
+  cfg.n = 2048;
+  cfg.tile = 512;
+  cfg.check.enabled = true;
+  cfg.obs.enabled = true;
+  cfg.fault_plan.seed = 11;
+  cfg.fault_plan.fail_prob = 0.05;
+  fault::FaultEvent e;
+  e.kind = fault::FaultKind::kTransferFail;
+  e.xfer = fault::TransferKind::kAny;
+  for (double t : {0.0, 1e-4, 2e-4}) {
+    e.t = t;
+    cfg.fault_plan.events.push_back(e);
+  }
+  const baselines::BenchResult r =
+      baselines::make_xkblas(rt::HeuristicConfig::xkblas())->run(cfg);
+  ASSERT_FALSE(r.failed) << r.error;
+  ASSERT_TRUE(r.check_ok) << r.check_report;
+  ASSERT_GT(r.transfers.transfer_aborts, 0u);
+  ASSERT_GT(r.transfers.transfer_retries, 0u);
+  expect_golden("metrics_gemm_xfail.json", r.metrics_json);
 }
 
 TEST(Export, HostileLabelsRoundTripThroughCsv) {
