@@ -1,7 +1,6 @@
 // Shared helpers for the figure/table regeneration binaries.
 #pragma once
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -11,49 +10,6 @@
 #include "util/table.hpp"
 
 namespace xkb::bench {
-
-/// Re-derive a per-class time breakdown from the xkb::obs metrics registry
-/// ("time.*" counters; per-GPU "gpu<g>.time.*" when `gpu >= 0`).  The
-/// registry is filled by the observability hooks, independently of the
-/// trace records the figures normally aggregate -- so a figure binary can
-/// print registry-derived values and assert both accounting paths agree.
-inline trace::Breakdown registry_breakdown(const baselines::BenchResult& r,
-                                           int gpu = -1) {
-  trace::Breakdown b;
-  if (!r.obs) return b;
-  const obs::MetricsRegistry& m = r.obs->metrics();
-  const std::string p = gpu < 0 ? "" : "gpu" + std::to_string(gpu) + ".";
-  b.kernel = m.counter_value(p + "time.kernel");
-  b.htod = m.counter_value(p + "time.htod");
-  b.dtoh = m.counter_value(p + "time.dtoh");
-  b.ptop = m.counter_value(p + "time.ptop");
-  return b;
-}
-
-/// True when the registry-derived and trace-derived breakdowns agree to
-/// float round-off; prints the first disagreement otherwise.
-inline bool breakdown_agrees(const char* who, const trace::Breakdown& reg,
-                             const trace::Breakdown& tr) {
-  auto near = [](double a, double b) {
-    return std::fabs(a - b) <=
-           1e-9 * (1.0 + std::fmax(std::fabs(a), std::fabs(b)));
-  };
-  struct { const char* name; double a, b; } cls[] = {
-      {"kernel", reg.kernel, tr.kernel},
-      {"htod", reg.htod, tr.htod},
-      {"dtoh", reg.dtoh, tr.dtoh},
-      {"ptop", reg.ptop, tr.ptop},
-  };
-  for (const auto& c : cls) {
-    if (!near(c.a, c.b)) {
-      std::fprintf(stderr,
-                   "DRIFT %s %s: registry %.12g != trace %.12g\n", who,
-                   c.name, c.a, c.b);
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Matrix dimensions swept by the paper's figures (up to ~57k).
 inline std::vector<std::size_t> paper_sizes() {

@@ -18,16 +18,12 @@ int main() {
   cfg.routine = Blas3::kSyr2k;
   cfg.n = 49152;
   cfg.tile = 2048;
-  // Per-GPU rows come from the registry's "gpu<g>.time.*" counters and are
-  // cross-checked against the per-device trace breakdown (see Fig. 6).
-  cfg.obs.enabled = true;
 
   std::vector<std::unique_ptr<LibraryModel>> models;
   models.push_back(make_chameleon(/*tile_layout=*/true));
   models.push_back(make_cublasxt());
   models.push_back(make_xkblas(rt::HeuristicConfig::xkblas()));
 
-  bool drift = false;
   for (auto& m : models) {
     const BenchResult r = m->run(cfg);
     std::printf("%s (%.2f TFlop/s, %.2f s):\n", m->name().c_str(), r.tflops,
@@ -35,12 +31,7 @@ int main() {
     Table t({"GPU", "DtoH(s)", "HtoD(s)", "PtoP(s)", "Kernel(s)", "Busy(s)"});
     double kmin = 1e30, kmax = 0.0;
     for (std::size_t g = 0; g < r.per_gpu.size(); ++g) {
-      const trace::Breakdown b = r.obs
-          ? bench::registry_breakdown(r, static_cast<int>(g))
-          : r.per_gpu[g];
-      if (r.obs &&
-          !bench::breakdown_agrees(m->name().c_str(), b, r.per_gpu[g]))
-        drift = true;
+      const trace::Breakdown& b = r.per_gpu[g];
       kmin = std::min(kmin, b.kernel);
       kmax = std::max(kmax, b.kernel);
       t.add_row({std::to_string(g), Table::num(b.dtoh, 2),
@@ -49,11 +40,6 @@ int main() {
     }
     std::printf("%s  kernel-time imbalance (max/min): %.2f\n\n",
                 t.to_text().c_str(), kmax / (kmin > 0 ? kmin : 1.0));
-  }
-  if (drift) {
-    std::fprintf(stderr,
-                 "metrics registry disagrees with the trace breakdown\n");
-    return 1;
   }
   return 0;
 }

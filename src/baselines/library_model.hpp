@@ -71,9 +71,7 @@ struct RunConfig {
   check::CheckConfig check;
   /// Opt-in observability layer (metrics registry, link probes, decision
   /// trace).  When enabled the result carries the metrics JSON, the ledger,
-  /// the live Observability instance and the run's trace; combined with
-  /// `check`, the obs accounting is reconciled against TransferStats and
-  /// the trace breakdown.
+  /// the live Observability instance and the run's trace.
   obs::ObsConfig obs;
   /// Opt-in fault plan (xkb::fault).  Non-empty plans arm a deterministic
   /// Injector before the run; recovery statistics and injector counters

@@ -223,7 +223,7 @@ BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
   const auto compose_flight = [&](const std::string& reason) {
     if (!o) return;
     if (o->flight_dump().empty()) {
-      o->finalize_registry();
+      o->finalize_registry(plat.trace());
       const obs::RunLedger snap =
           obs::build_ledger(plat.trace(), plat.topology(), o.get(), 0, id);
       o->set_flight_dump(o->flight().dump_json(reason, obs::ledger_json(snap)));
@@ -233,7 +233,6 @@ BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
   };
 
   double t0 = 0.0;
-  rt::TransferStats s0{};  // stats issued before the measured region
   try {
     if (cfg.data_on_device) {
       plan.distribute();
@@ -242,7 +241,6 @@ BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
       t0 = runtime.run();
       plat.trace().clear();
       if (o) o->clear();  // observe only the measured (compute) phase
-      s0 = runtime.data_manager().stats();
     }
     plan.emit();
     if (!cfg.data_on_device) plan.coherent();
@@ -299,39 +297,13 @@ BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
     res.event_hash = c->event_hash();
   }
   if (o) {
-    o->finalize_registry();
+    o->finalize_registry(plat.trace());
     const obs::RunReport rep =
         obs::build_report(plat.trace(), plat.topology(), o.get());
     res.metrics_json = obs::report_json(rep, o.get());
     res.ledger_json = obs::ledger_json(obs::build_ledger(
         plat.trace(), plat.topology(), o.get(), res.event_hash, id));
     res.obs = o;
-    if (runtime.checker()) {
-      // Cross-validate the two independent accounting paths: observed event
-      // stream vs runtime counters and trace aggregation.
-      const rt::TransferStats& ts = runtime.data_manager().stats();
-      obs::Observability::ReconcileView v;
-      v.h2d = ts.h2d - s0.h2d;
-      v.d2h = ts.d2h - s0.d2h;
-      v.d2d = ts.d2d - s0.d2d;
-      v.optimistic_waits = ts.optimistic_waits - s0.optimistic_waits;
-      v.forced_waits = ts.forced_waits - s0.forced_waits;
-      const trace::Breakdown b = plat.trace().breakdown();
-      v.htod = b.htod;
-      v.dtoh = b.dtoh;
-      v.ptop = b.ptop;
-      v.kernel = b.kernel;
-      v.htod_bytes = plat.trace().bytes(trace::OpKind::kHtoD);
-      v.dtoh_bytes = plat.trace().bytes(trace::OpKind::kDtoH);
-      v.ptop_bytes = plat.trace().bytes(trace::OpKind::kPtoP);
-      const std::vector<std::string> mismatches = o->reconcile(v);
-      if (!mismatches.empty()) {
-        res.check_ok = false;
-        res.check_violations += mismatches.size();
-        for (const std::string& m : mismatches)
-          res.check_report += "[obs] " + m + "\n";
-      }
-    }
   }
   if (!res.check_ok) compose_flight("checker-violation");
   // Last: the flight dump above may still snapshot the platform's trace.

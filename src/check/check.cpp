@@ -43,11 +43,10 @@ const char* to_string(ViolationKind k) {
   return "?";
 }
 
-Checker::Checker(const CheckConfig& cfg, int num_gpus, int kernel_streams,
-                 Policy policy, bool optimistic_d2d)
+Checker::Checker(const CheckConfig& cfg, int num_gpus, SourcePolicy policy,
+                 bool optimistic_d2d)
     : cfg_(cfg),
       gpus_(num_gpus),
-      streams_(static_cast<std::size_t>(kernel_streams)),
       policy_(policy),
       optimistic_(optimistic_d2d) {}
 
@@ -92,7 +91,7 @@ void Checker::fold_time(sim::Time t) {
 
 void Checker::on_submit(
     std::uint64_t id, std::string label,
-    const std::vector<std::pair<const mem::DataHandle*, Mode>>& accesses,
+    const std::vector<std::pair<const mem::DataHandle*, Access>>& accesses,
     std::vector<std::uint64_t> preds) {
   TaskInfo ti;
   ti.label = std::move(label);
@@ -137,7 +136,7 @@ void Checker::stamp(std::uint64_t id, TaskInfo& t, std::size_t lane) {
 void Checker::check_reads(std::uint64_t id, TaskInfo& t) {
   if (!cfg_.races) return;
   for (const AccessRec& a : t.accesses) {
-    if (a.mode == Mode::kW) continue;
+    if (a.mode == Access::kW) continue;
     Shadow& s = shadow(a.handle);
     if (s.write_task != 0 && s.write_task != id && !s.write_vc.leq(t.vc))
       violation(ViolationKind::kRace,
@@ -154,7 +153,7 @@ void Checker::check_reads(std::uint64_t id, TaskInfo& t) {
 void Checker::record_writes(std::uint64_t id, TaskInfo& t, int dev,
                             sim::Time /*now*/) {
   for (const AccessRec& a : t.accesses) {
-    if (a.mode == Mode::kR) continue;
+    if (a.mode == Access::kR) continue;
     Shadow& s = shadow(a.handle);
     if (cfg_.races) {
       if (s.write_task != 0 && s.write_task != id && !s.write_vc.leq(t.vc))
@@ -185,8 +184,8 @@ void Checker::record_writes(std::uint64_t id, TaskInfo& t, int dev,
   }
 }
 
-void Checker::on_kernel_issue(std::uint64_t id, int dev, int lane,
-                              sim::Time start, sim::Time end) {
+void Checker::on_kernel_issue(std::uint64_t id, int dev, sim::Time start,
+                              sim::Time end) {
   fold(kTagKernel);
   fold(id);
   fold(static_cast<std::uint64_t>(dev));
@@ -203,7 +202,7 @@ void Checker::on_kernel_issue(std::uint64_t id, int dev, int lane,
   // verify freshness: a kernel must start with every read operand valid on
   // its device and holding the latest version.
   for (const AccessRec& a : t->accesses) {
-    if (a.mode == Mode::kW) continue;
+    if (a.mode == Access::kW) continue;
     Shadow& s = shadow(a.handle);
     t->vc.join(s.arrival_vc[static_cast<std::size_t>(dev)]);
     if (cfg_.coherence) {
@@ -225,7 +224,7 @@ void Checker::on_kernel_issue(std::uint64_t id, int dev, int lane,
                       std::to_string(s.version));
     }
   }
-  stamp(id, *t, lane_kernel(dev, lane));
+  stamp(id, *t, lane_kernel(dev));
   check_reads(id, *t);
 }
 
@@ -241,7 +240,7 @@ void Checker::on_task_finish(std::uint64_t id, int dev, sim::Time now) {
     // no stream lane, so order it on the device's virtual lane.  Its reads
     // still carry the arrival edges and are checked like kernel reads.
     for (const AccessRec& a : t->accesses) {
-      if (a.mode == Mode::kW) continue;
+      if (a.mode == Access::kW) continue;
       Shadow& s = shadow(a.handle);
       t->vc.join(s.arrival_vc[static_cast<std::size_t>(dev)]);
       if (cfg_.coherence &&
@@ -271,7 +270,7 @@ void Checker::on_task_complete(std::uint64_t id, sim::Time now) {
     // Host-side task (memory_coherent / host_write): executes on the host
     // lane; reads carry the host copy's happens-before edges.
     for (const AccessRec& a : t->accesses) {
-      if (a.mode == Mode::kW) continue;
+      if (a.mode == Access::kW) continue;
       Shadow& s = shadow(a.handle);
       t->vc.join(s.host_vc);
       if (cfg_.coherence && s.host_version != s.version)
@@ -332,7 +331,7 @@ void Checker::on_source_choice(const mem::DataHandle* h, int dst,
                       std::to_string(
                           s.dev_version[static_cast<std::size_t>(src)]) +
                       ", latest " + std::to_string(s.version) + ")");
-      if (policy_ == Policy::kHostOnly && host_valid)
+      if (policy_ == SourcePolicy::kHostOnly && host_valid)
         violation(ViolationKind::kCoherence,
                   "host-only source policy chose a device source for tile " +
                       std::to_string(h->id) +
@@ -352,7 +351,6 @@ void Checker::on_source_choice(const mem::DataHandle* h, int dst,
                       std::to_string(h->id) +
                       " but no reception is in flight there");
       if (!forced) {
-        ++optimistic_seen_;
         if (!optimistic_)
           violation(ViolationKind::kCoherence,
                     "optimistic wait chosen for tile " +
@@ -364,7 +362,6 @@ void Checker::on_source_choice(const mem::DataHandle* h, int dst,
                         " marked as chosen, but the host copy is invalid "
                         "(it should be a forced wait)");
       } else {
-        ++forced_seen_;
         if (host_valid)
           violation(ViolationKind::kCoherence,
                     "forced wait for tile " + std::to_string(h->id) +
@@ -379,12 +376,17 @@ void Checker::on_source_choice(const mem::DataHandle* h, int dst,
                       std::to_string(h->id) +
                       " but the host copy is not in flight");
       break;
+    case SourceKind::kNone:
+      break;  // a parked fetch issues nothing
   }
 }
 
-void Checker::on_transfer_issue(TransferKind k, const mem::DataHandle* h,
-                                int src, int dst, sim::Time start,
-                                sim::Time end) {
+void Checker::on_transfer_issue(OpKind k, const mem::DataHandle* h, int src,
+                                int dst, sim::Time start, sim::Time end) {
+  if (k == OpKind::kDtoH) {
+    host_flush_issue(h, src);
+    return;
+  }
   fold(kTagTransfer);
   fold(static_cast<std::uint64_t>(k));
   fold(h->id);
@@ -398,12 +400,11 @@ void Checker::on_transfer_issue(TransferKind k, const mem::DataHandle* h,
     violation(ViolationKind::kCoherence,
               "transfer of tile " + std::to_string(h->id) +
                   " issued towards blacklisted GPU " + std::to_string(dst));
-  if (cfg_.coherence && k == TransferKind::kD2D && device_failed(src))
+  if (cfg_.coherence && k == OpKind::kPtoP && device_failed(src))
     violation(ViolationKind::kCoherence,
               "D2D of tile " + std::to_string(h->id) +
                   " issued from blacklisted GPU " + std::to_string(src));
-  if (k == TransferKind::kH2D) {
-    ++h2d_seen_;
+  if (k == OpKind::kHtoD) {
     if (cfg_.coherence && h->host.state != mem::ReplicaState::kValid)
       violation(ViolationKind::kCoherence,
                 "H2D issued for tile " + std::to_string(h->id) + " -> GPU " +
@@ -416,8 +417,7 @@ void Checker::on_transfer_issue(TransferKind k, const mem::DataHandle* h,
                     std::to_string(s.version) + ")");
     s.in_version[d] = s.host_version;
     s.in_vc[d] = s.host_vc;
-  } else if (k == TransferKind::kD2D) {
-    ++d2d_seen_;
+  } else {
     const auto sd = static_cast<std::size_t>(src);
     if (cfg_.coherence &&
         h->dev[sd].state != mem::ReplicaState::kValid)
@@ -509,13 +509,12 @@ void Checker::on_host_write(const mem::DataHandle* h) {
                     " left a non-invalid replica on GPU " + std::to_string(g));
 }
 
-void Checker::on_host_flush_issue(const mem::DataHandle* h, int src,
-                                  std::uint64_t version) {
+void Checker::host_flush_issue(const mem::DataHandle* h, int src) {
+  const std::uint64_t version = h->version;
   fold(kTagFlushIssue);
   fold(h->id);
   fold(static_cast<std::uint64_t>(src));
   fold(version);
-  ++d2h_seen_;
   Shadow& s = shadow(h);
   s.d2h_inflight = true;
   if (cfg_.coherence && device_failed(src))
@@ -600,8 +599,8 @@ bool Checker::current_version_survives(const mem::DataHandle* h,
 // Fault-recovery events
 // ---------------------------------------------------------------------------
 
-void Checker::on_transfer_abort(TransferKind k, const mem::DataHandle* h,
-                                int src, int dst, std::size_t attempts,
+void Checker::on_transfer_abort(OpKind k, const mem::DataHandle* h, int src,
+                                int dst, std::size_t attempts,
                                 std::size_t cap) {
   fold(kTagAbort);
   fold(static_cast<std::uint64_t>(k));
@@ -610,8 +609,7 @@ void Checker::on_transfer_abort(TransferKind k, const mem::DataHandle* h,
   fold(static_cast<std::uint64_t>(dst) + 1);
   fold(attempts);
   Shadow& s = shadow(h);
-  if (k == TransferKind::kD2H) {
-    ++d2h_aborts_seen_;
+  if (k == OpKind::kDtoH) {
     // The flush will never publish; stop counting it as survival evidence.
     s.d2h_inflight = false;
   } else {
@@ -727,22 +725,7 @@ void Checker::on_engine_event(sim::Time t, std::uint64_t seq) {
 }
 
 void Checker::finalize(const StatsView& st) {
-  // --- counter reconciliation -------------------------------------------
-  auto expect_eq = [this](std::size_t got, std::size_t want,
-                          const char* what) {
-    if (got != want)
-      violation(ViolationKind::kStats,
-                std::string(what) + " counter mismatch: runtime reports " +
-                    std::to_string(got) + ", checker observed " +
-                    std::to_string(want));
-  };
-  expect_eq(st.h2d, h2d_seen_, "h2d");
-  expect_eq(st.d2h, d2h_seen_, "d2h");
-  expect_eq(st.d2d, d2d_seen_, "d2d");
-  expect_eq(st.optimistic_waits, optimistic_seen_, "optimistic_waits");
-  expect_eq(st.forced_waits, forced_seen_, "forced_waits");
-  expect_eq(st.transfer_aborts, rx_aborts_seen_ + d2h_aborts_seen_,
-            "transfer_aborts");
+  // --- counter invariants -----------------------------------------------
   if (!optimistic_ && st.optimistic_waits != 0)
     violation(ViolationKind::kStats,
               "optimistic_waits = " + std::to_string(st.optimistic_waits) +
@@ -750,11 +733,10 @@ void Checker::finalize(const StatsView& st) {
   // Every issued reception either materializes a replica or was aborted by
   // fault recovery -- nothing may simply evaporate.
   if (st.completed == st.submitted &&
-      h2d_seen_ + d2d_seen_ != arrivals_ + rx_aborts_seen_)
+      st.h2d + st.d2d != arrivals_ + rx_aborts_seen_)
     violation(ViolationKind::kStats,
-              "transfer ledger does not balance: " +
-                  std::to_string(h2d_seen_) + " H2D + " +
-                  std::to_string(d2d_seen_) + " D2D issued, but " +
+              "transfer ledger does not balance: " + std::to_string(st.h2d) +
+                  " H2D + " + std::to_string(st.d2d) + " D2D issued, but " +
                   std::to_string(arrivals_) + " replicas materialized and " +
                   std::to_string(rx_aborts_seen_) + " receptions aborted");
 

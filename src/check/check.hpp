@@ -14,19 +14,19 @@
 //     every read observes the latest version, `choose_source` never selects
 //     an invalid or stale replica, optimistic forwarding only chains on a
 //     genuinely in-flight reception, at most one dirty replica per tile,
-//     eviction never drops the last copy of the current version, and the
-//     TransferStats counters reconcile with the observed event stream
-//     (e.g. `optimistic_waits == 0` under the ablation configurations).
+//     eviction never drops the last copy of the current version, every
+//     issued reception either arrives or is aborted, and
+//     `optimistic_waits == 0` under the ablation configurations.
 //  3. Progress and determinism: after the engine drains, every submitted
 //     task must have completed -- if not, the wait-for graph is dumped and
 //     searched for cycles (deadlock) -- and an FNV-1a hash of the full
 //     event stream is exposed so two runs of the same configuration can be
 //     asserted bit-identical.
 //
-// The checker depends only on `mem` and `sim`; the runtime layers feed it
-// events through the hooks below (mirrored enums avoid an include cycle
-// with `runtime/`).  It is always compiled and costs one null-pointer test
-// per hook when disabled.
+// The checker depends only on `mem`, `sim` and the shared vocabulary of
+// trace/facts.hpp; rt::Platform's fan-out feeds it every fact through the
+// hooks below.  It is always compiled and costs one null-pointer test per
+// report when disabled.
 #pragma once
 
 #include <cstddef>
@@ -40,24 +40,14 @@
 #include "check/vector_clock.hpp"
 #include "mem/handle.hpp"
 #include "sim/engine.hpp"
+#include "trace/facts.hpp"
 
 namespace xkb::check {
 
-/// Access mode of a task operand (mirror of rt::Access).
-enum class Mode : std::uint8_t { kR, kW, kRW };
-
-/// Source-selection policy in force (mirror of rt::SourcePolicy).
-enum class Policy : std::uint8_t {
-  kTopologyAware,
-  kFirstValid,
-  kSwitchPeer,
-  kHostOnly,
-};
-
-/// What choose_source decided (mirror of DataManager::Source::Kind).
-enum class SourceKind : std::uint8_t { kHost, kDevice, kWaitDevice, kWaitHost };
-
-enum class TransferKind : std::uint8_t { kH2D, kD2D, kD2H };
+using trace::Access;
+using trace::OpKind;
+using trace::SourceKind;
+using trace::SourcePolicy;
 
 /// Test-only fault injection, honoured by the runtime only when a checker
 /// is attached.  Used by the checker's own mutant tests: a checker that
@@ -98,19 +88,18 @@ struct Violation {
   std::string message;
 };
 
-/// Mirror of the runtime counters the checker reconciles against
+/// The runtime counters the end-of-run audit checks invariants over
 /// (rt::TransferStats plus the task counters).
 struct StatsView {
-  std::size_t h2d = 0, d2h = 0, d2d = 0;
-  std::size_t optimistic_waits = 0, forced_waits = 0;
+  std::size_t h2d = 0, d2d = 0;  ///< receptions issued
+  std::size_t optimistic_waits = 0;
   std::size_t submitted = 0, completed = 0;
-  std::size_t transfer_aborts = 0;  ///< fault-injected/recovery aborts
 };
 
 class Checker {
  public:
-  Checker(const CheckConfig& cfg, int num_gpus, int kernel_streams,
-          Policy policy, bool optimistic_d2d);
+  Checker(const CheckConfig& cfg, int num_gpus, SourcePolicy policy,
+          bool optimistic_d2d);
 
   const CheckConfig& config() const { return cfg_; }
   const Faults& faults() const { return cfg_.faults; }
@@ -118,11 +107,11 @@ class Checker {
   // --- task-graph / execution events (fed by rt::Runtime) ---
   void on_submit(
       std::uint64_t task, std::string label,
-      const std::vector<std::pair<const mem::DataHandle*, Mode>>& accesses,
+      const std::vector<std::pair<const mem::DataHandle*, Access>>& accesses,
       std::vector<std::uint64_t> preds);
-  /// Kernel handed to stream `lane` of `dev` (lane FIFO order == issue
-  /// order).  Performs the read-side race + staleness checks.
-  void on_kernel_issue(std::uint64_t task, int dev, int lane, sim::Time start,
+  /// Kernel handed to `dev`'s kernel FIFO (FIFO order == issue order).
+  /// Performs the read-side race + staleness checks.
+  void on_kernel_issue(std::uint64_t task, int dev, sim::Time start,
                        sim::Time end);
   /// Kernel (or kernel-less placement task) finished on `dev`: performs the
   /// write-side race checks and records the write's vector clock.
@@ -133,14 +122,15 @@ class Checker {
   // --- replica-protocol events (fed by rt::DataManager) ---
   void on_source_choice(const mem::DataHandle* h, int dst, SourceKind kind,
                         int src, bool forced);
-  void on_transfer_issue(TransferKind k, const mem::DataHandle* h, int src,
+  /// A copy of `h` was issued: a reception (kHtoD from the host, kPtoP
+  /// from `src`) into `dst`, or a host flush (kDtoH) of `h`'s current
+  /// version from `src`.
+  void on_transfer_issue(OpKind k, const mem::DataHandle* h, int src,
                          int dst, sim::Time start, sim::Time end);
   /// A replica reception completed on `dev` (kInFlight -> kValid).
   void on_arrival(const mem::DataHandle* h, int dev, sim::Time t);
   void on_mark_written(const mem::DataHandle* h, int dev, sim::Time t);
   void on_host_write(const mem::DataHandle* h);
-  void on_host_flush_issue(const mem::DataHandle* h, int src,
-                           std::uint64_t version);
   void on_host_flush_done(const mem::DataHandle* h, int src, bool stale,
                           std::uint64_t version, sim::Time t);
   /// A resident replica was evicted from `dev` (already released).
@@ -151,7 +141,7 @@ class Checker {
   /// cancelled because an endpoint died).  `dst` is -1 for D2H flushes.
   /// `attempts`/`cap` drive the bounded-retries invariant (0/0 for aborts
   /// that are not retries of the same reception, e.g. device-loss purges).
-  void on_transfer_abort(TransferKind k, const mem::DataHandle* h, int src,
+  void on_transfer_abort(OpKind k, const mem::DataHandle* h, int src,
                          int dst, std::size_t attempts, std::size_t cap);
   /// GPU `dev` was blacklisted.  From here on, no source choice, D2D issue
   /// or kernel may touch it.
@@ -172,9 +162,9 @@ class Checker {
   // --- engine events (fed by sim::Engine's observer hook) ---
   void on_engine_event(sim::Time t, std::uint64_t seq);
 
-  /// End-of-run audit: counter reconciliation, completion/progress check
-  /// with wait-for cycle detection, final protocol scan (dirty uniqueness,
-  /// pin leaks, data loss).
+  /// End-of-run audit: reception ledger and ablation counters, completion/
+  /// progress check with wait-for cycle detection, final protocol scan
+  /// (dirty uniqueness, pin leaks, data loss).
   void finalize(const StatsView& s);
 
   bool ok() const { return total_violations_ == 0; }
@@ -189,7 +179,7 @@ class Checker {
  private:
   struct AccessRec {
     const mem::DataHandle* handle = nullptr;
-    Mode mode = Mode::kR;
+    Access mode = Access::kR;
   };
   struct TaskInfo {
     std::string label;
@@ -233,13 +223,13 @@ class Checker {
 
   Shadow& shadow(const mem::DataHandle* h);
   TaskInfo* task(std::uint64_t id);
-  std::size_t lane_kernel(int dev, int lane) const {
-    return 1 + static_cast<std::size_t>(dev) * streams_ +
-           static_cast<std::size_t>(lane);
+  /// Clock lanes: 0 is the host, then one kernel FIFO per device, then one
+  /// virtual lane per device for kernel-less placement tasks.
+  std::size_t lane_kernel(int dev) const {
+    return 1 + static_cast<std::size_t>(dev);
   }
   std::size_t lane_virtual(int dev) const {
-    return 1 + static_cast<std::size_t>(gpus_) * streams_ +
-           static_cast<std::size_t>(dev);
+    return 1 + static_cast<std::size_t>(gpus_) + static_cast<std::size_t>(dev);
   }
   VectorClock& lane_clock(std::size_t lane);
 
@@ -247,6 +237,8 @@ class Checker {
   /// fresh event on `lane` (also advancing the lane clock).
   void stamp(std::uint64_t id, TaskInfo& t, std::size_t lane);
   void check_reads(std::uint64_t id, TaskInfo& t);
+  /// on_transfer_issue for a kDtoH flush of `h`'s current version.
+  void host_flush_issue(const mem::DataHandle* h, int src);
   void record_writes(std::uint64_t id, TaskInfo& t, int dev, sim::Time now);
 
   void violation(ViolationKind kind, std::string msg);
@@ -262,8 +254,7 @@ class Checker {
 
   CheckConfig cfg_;
   int gpus_;
-  std::size_t streams_;
-  Policy policy_;
+  SourcePolicy policy_;
   bool optimistic_;
 
   std::unordered_map<std::uint64_t, TaskInfo> tasks_;
@@ -272,15 +263,11 @@ class Checker {
   std::vector<VectorClock> lanes_;
   VectorClock completed_vc_;  ///< join of all completed tasks' clocks
 
-  // Observed-event counters, reconciled against StatsView in finalize().
-  std::size_t h2d_seen_ = 0, d2h_seen_ = 0, d2d_seen_ = 0;
+  // Reception ledger, balanced against the issued receptions in finalize().
   std::size_t arrivals_ = 0;
-  std::size_t optimistic_seen_ = 0, forced_seen_ = 0;
+  std::size_t rx_aborts_seen_ = 0;  ///< aborted H2D/D2D receptions
 
-  // Fault-recovery bookkeeping.
-  std::size_t rx_aborts_seen_ = 0;   ///< aborted H2D/D2D receptions
-  std::size_t d2h_aborts_seen_ = 0;  ///< aborted host flushes
-  std::vector<char> failed_devs_;    ///< blacklisted GPUs (empty = none)
+  std::vector<char> failed_devs_;  ///< blacklisted GPUs (empty = none)
   bool device_failed(int dev) const {
     return dev >= 0 && static_cast<std::size_t>(dev) < failed_devs_.size() &&
            failed_devs_[static_cast<std::size_t>(dev)] != 0;

@@ -32,11 +32,11 @@ std::uint64_t parse_hex64(const std::string& s) {
   return std::strtoull(s.c_str(), nullptr, 16);
 }
 
-Pick pick_from_string(const std::string& s) {
-  if (s == "host") return Pick::kHost;
-  if (s == "device") return Pick::kDevice;
-  if (s == "wait-device") return Pick::kWaitDevice;
-  if (s == "wait-host") return Pick::kWaitHost;
+trace::SourceKind pick_from_string(const std::string& s) {
+  for (trace::SourceKind k :
+       {trace::SourceKind::kHost, trace::SourceKind::kDevice,
+        trace::SourceKind::kWaitDevice, trace::SourceKind::kWaitHost})
+    if (s == to_string(k)) return k;
   throw std::runtime_error("ledger: unknown pick \"" + s + "\"");
 }
 

@@ -1,23 +1,17 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <array>
+
+#include "trace/trace.hpp"
 
 namespace xkb::obs {
 
-const char* to_string(Pick p) {
-  switch (p) {
-    case Pick::kHost: return "host";
-    case Pick::kDevice: return "device";
-    case Pick::kWaitDevice: return "wait-device";
-    case Pick::kWaitHost: return "wait-host";
-  }
-  return "?";
-}
+using trace::OpKind;
+using trace::SourceKind;
 
 Observability::Observability(int num_gpus)
     : gpus_(num_gpus),
-      per_gpu_(static_cast<std::size_t>(num_gpus)),
       ready_(static_cast<std::size_t>(num_gpus), nullptr),
       hits_(static_cast<std::size_t>(num_gpus), 0),
       misses_(static_cast<std::size_t>(num_gpus), 0),
@@ -35,8 +29,6 @@ sim::UsageProbe* Observability::make_link_probe(std::string name,
 
 void Observability::on_kernel(int dev, const std::string& label,
                               sim::Interval iv) {
-  all_.kernel += iv.duration();
-  per_gpu_[static_cast<std::size_t>(dev)].kernel += iv.duration();
   if (iv.end > last_event_) last_event_ = iv.end;
   flight_.note(iv.end, FlightEntry::Kind::kKernel, dev, -1, 0, 0,
                label.c_str());
@@ -59,21 +51,15 @@ void Observability::on_evict(int dev, bool dirty) {
     ++evict_clean_[d];
 }
 
-void Observability::on_wait(std::uint64_t handle, int src, int dst,
-                            bool forced) {
-  if (forced)
-    ++forced_waits_;
-  else
-    ++opt_waits_;
-  pending_wait_[rx_key(handle, dst)] = forced;
-  flight_.note(last_event_, FlightEntry::Kind::kWait, src, dst, handle, 0,
-               forced ? "forced" : "optimistic");
-}
-
 void Observability::on_decision(Decision d) {
   if (d.t > last_event_) last_event_ = d.t;
   flight_.note(d.t, FlightEntry::Kind::kDecision, d.picked_dev, d.dst,
                d.handle, 0, to_string(d.pick));
+  if (d.pick == SourceKind::kWaitDevice) {
+    pending_wait_[{d.handle, d.dst}] = d.forced;
+    flight_.note(last_event_, FlightEntry::Kind::kWait, d.picked_dev, d.dst,
+                 d.handle, 0, d.forced ? "forced" : "optimistic");
+  }
   decisions_.push_back(std::move(d));
 }
 
@@ -94,45 +80,28 @@ void Observability::count_fault(const std::string& what, double n) {
   fault_counts_.emplace_back(what, n);
 }
 
-void Observability::on_transfer(Xfer k, std::uint64_t handle, int src, int dst,
-                                sim::Interval iv, std::size_t bytes,
+void Observability::on_transfer(OpKind k, std::uint64_t handle, int src,
+                                int dst, sim::Interval iv, std::size_t bytes,
                                 bool chained) {
-  const double dur = iv.duration();
   if (iv.end > last_event_) last_event_ = iv.end;
   {
-    const char* tag = k == Xfer::kH2D ? "h2d" : k == Xfer::kD2D ? "d2d"
-                                                                : "d2h";
+    const char* tag = k == OpKind::kHtoD   ? "h2d"
+                      : k == OpKind::kPtoP ? (chained ? "d2d-chained" : "d2d")
+                                           : "d2h";
     flight_.note(iv.end, FlightEntry::Kind::kTransfer,
-                 k == Xfer::kH2D ? -1 : src, k == Xfer::kD2H ? -1 : dst,
-                 handle, bytes, chained ? (k == Xfer::kD2D ? "d2d-chained"
-                                                           : tag)
-                                        : tag);
+                 k == OpKind::kHtoD ? -1 : src, k == OpKind::kDtoH ? -1 : dst,
+                 handle, bytes, tag);
   }
   switch (k) {
-    case Xfer::kH2D: {
-      auto& g = per_gpu_[static_cast<std::size_t>(dst)];
-      all_.htod += dur;
-      all_.htod_bytes += bytes;
-      ++all_.h2d;
-      g.htod += dur;
-      g.htod_bytes += bytes;
-      ++g.h2d;
-      pending_rx_[rx_key(handle, dst)] = PendingRx{1, iv};
+    case OpKind::kHtoD:
+      pending_rx_[{handle, dst}] = PendingRx{1, iv};
       break;
-    }
-    case Xfer::kD2D: {
-      auto& g = per_gpu_[static_cast<std::size_t>(dst)];
-      all_.ptop += dur;
-      all_.ptop_bytes += bytes;
-      ++all_.d2d;
-      g.ptop += dur;
-      g.ptop_bytes += bytes;
-      ++g.d2d;
+    case OpKind::kPtoP: {
       if (chained) {
         // This copy is the forwarding leg of a wait: connect it back to the
         // reception it chained off (still the most recent rx on `src`).
-        auto rx = pending_rx_.find(rx_key(handle, src));
-        auto w = pending_wait_.find(rx_key(handle, dst));
+        auto rx = pending_rx_.find({handle, src});
+        auto w = pending_wait_.find({handle, dst});
         if (rx != pending_rx_.end()) {
           Flow f;
           f.handle = handle;
@@ -146,19 +115,12 @@ void Observability::on_transfer(Xfer k, std::uint64_t handle, int src, int dst,
         }
         if (w != pending_wait_.end()) pending_wait_.erase(w);
       }
-      pending_rx_[rx_key(handle, dst)] = PendingRx{3, iv};
+      pending_rx_[{handle, dst}] = PendingRx{3, iv};
       break;
     }
-    case Xfer::kD2H: {
-      auto& g = per_gpu_[static_cast<std::size_t>(src)];
-      all_.dtoh += dur;
-      all_.dtoh_bytes += bytes;
-      ++all_.d2h;
-      g.dtoh += dur;
-      g.dtoh_bytes += bytes;
-      ++g.d2h;
+    case OpKind::kDtoH:
+    case OpKind::kKernel:
       break;
-    }
   }
 }
 
@@ -182,14 +144,11 @@ void Observability::clear() {
   flows_.clear();
   fault_marks_.clear();
   fault_counts_.clear();
-  all_ = OpTotals{};
-  for (auto& g : per_gpu_) g = OpTotals{};
   std::fill(hits_.begin(), hits_.end(), 0);
   std::fill(misses_.begin(), misses_.end(), 0);
   std::fill(inflight_hits_.begin(), inflight_hits_.end(), 0);
   std::fill(evict_clean_.begin(), evict_clean_.end(), 0);
   std::fill(evict_dirty_.begin(), evict_dirty_.end(), 0);
-  opt_waits_ = forced_waits_ = 0;
   last_event_ = 0.0;
   pending_rx_.clear();
   pending_wait_.clear();
@@ -198,20 +157,42 @@ void Observability::clear() {
   reg_.reset_values();
 }
 
+void Observability::finalize_registry(const trace::Trace& ops) {
+  // Per op class, indexed by OpKind: time over all GPUs (row 0) and per GPU
+  // g (row 1 + g), added in issue order exactly as Trace::breakdown adds.
+  std::vector<std::array<double, 4>> time(static_cast<std::size_t>(gpus_) + 1);
+  std::array<std::size_t, 4> count{}, bytes{};
+  for (const trace::Record& r : ops.records()) {
+    const auto k = static_cast<std::size_t>(r.kind);
+    time[0][k] += r.end - r.start;
+    time[static_cast<std::size_t>(r.device) + 1][k] += r.end - r.start;
+    ++count[k];
+    bytes[k] += r.bytes;
+  }
+  const char* const cls[] = {"htod", "ptop", "dtoh", "kernel"};
+  const char* const xfer[] = {"h2d", "d2d", "d2h"};
+  for (std::size_t k = 0; k < 3; ++k) {
+    reg_.counter(std::string("transfers.") + xfer[k]) =
+        static_cast<double>(count[k]);
+    reg_.counter(std::string("bytes.") + cls[k]) =
+        static_cast<double>(bytes[k]);
+  }
+  for (std::size_t row = 0; row < time.size(); ++row) {
+    const std::string p = row ? "gpu" + std::to_string(row - 1) + "." : "";
+    for (std::size_t k = 0; k < 4; ++k)
+      reg_.counter(p + "time." + cls[k]) = time[row][k];
+  }
+  finalize_registry();
+}
+
 void Observability::finalize_registry() {
   auto set = [this](const std::string& k, double v) { reg_.counter(k) = v; };
-  set("transfers.h2d", static_cast<double>(all_.h2d));
-  set("transfers.d2d", static_cast<double>(all_.d2d));
-  set("transfers.d2h", static_cast<double>(all_.d2h));
-  set("waits.optimistic", static_cast<double>(opt_waits_));
-  set("waits.forced", static_cast<double>(forced_waits_));
-  set("time.kernel", all_.kernel);
-  set("time.htod", all_.htod);
-  set("time.dtoh", all_.dtoh);
-  set("time.ptop", all_.ptop);
-  set("bytes.htod", static_cast<double>(all_.htod_bytes));
-  set("bytes.dtoh", static_cast<double>(all_.dtoh_bytes));
-  set("bytes.ptop", static_cast<double>(all_.ptop_bytes));
+  std::size_t opt_waits = 0, forced_waits = 0;
+  for (const Decision& d : decisions_)
+    if (d.pick == SourceKind::kWaitDevice)
+      ++(d.forced ? forced_waits : opt_waits);
+  set("waits.optimistic", static_cast<double>(opt_waits));
+  set("waits.forced", static_cast<double>(forced_waits));
   set("decisions", static_cast<double>(decisions_.size()));
   set("flows", static_cast<double>(flows_.size()));
   for (const auto& kv : fault_counts_) set("fault." + kv.first, kv.second);
@@ -224,11 +205,6 @@ void Observability::finalize_registry() {
     ec += evict_clean_[d];
     ed += evict_dirty_[d];
     const std::string p = "gpu" + std::to_string(g) + ".";
-    const OpTotals& t = per_gpu_[d];
-    set(p + "time.kernel", t.kernel);
-    set(p + "time.htod", t.htod);
-    set(p + "time.dtoh", t.dtoh);
-    set(p + "time.ptop", t.ptop);
     set(p + "cache.hits", static_cast<double>(hits_[d]));
     set(p + "cache.misses", static_cast<double>(misses_[d]));
     set(p + "cache.inflight_hits", static_cast<double>(inflight_hits_[d]));
@@ -246,43 +222,6 @@ void Observability::finalize_registry() {
     set("link." + l->name() + ".ops", static_cast<double>(l->ops()));
   }
   reg_.set_gauge("span", span());
-}
-
-std::vector<std::string> Observability::reconcile(
-    const ReconcileView& v) const {
-  std::vector<std::string> out;
-  auto chk_u = [&out](const char* what, std::size_t obs, std::size_t other) {
-    if (obs != other) {
-      std::ostringstream os;
-      os << "obs reconcile: " << what << " observed " << obs
-         << " != runtime " << other;
-      out.push_back(os.str());
-    }
-  };
-  auto chk_t = [&out](const char* what, double obs, double other) {
-    const double tol = 1e-9 * (1.0 + (obs > other ? obs : other));
-    const double diff = obs > other ? obs - other : other - obs;
-    if (diff > tol) {
-      std::ostringstream os;
-      os.precision(17);
-      os << "obs reconcile: " << what << " observed " << obs
-         << " != trace " << other;
-      out.push_back(os.str());
-    }
-  };
-  chk_u("h2d transfer count", all_.h2d, v.h2d);
-  chk_u("d2h transfer count", all_.d2h, v.d2h);
-  chk_u("d2d transfer count", all_.d2d, v.d2d);
-  chk_u("optimistic waits", opt_waits_, v.optimistic_waits);
-  chk_u("forced waits", forced_waits_, v.forced_waits);
-  chk_u("htod bytes", all_.htod_bytes, v.htod_bytes);
-  chk_u("dtoh bytes", all_.dtoh_bytes, v.dtoh_bytes);
-  chk_u("ptop bytes", all_.ptop_bytes, v.ptop_bytes);
-  chk_t("htod time", all_.htod, v.htod);
-  chk_t("dtoh time", all_.dtoh, v.dtoh);
-  chk_t("ptop time", all_.ptop, v.ptop);
-  chk_t("kernel time", all_.kernel, v.kernel);
-  return out;
 }
 
 }  // namespace xkb::obs

@@ -13,12 +13,16 @@
 // Ownership: an Observability instance is created by the driver (bench
 // skeleton, CLI, test) and attached to the Platform *before* the Runtime is
 // constructed (the runtime caches series pointers for per-event queue-depth
-// sampling).  It depends only on sim/topo/trace -- never on runtime -- so
-// every layer above can feed it events.
+// sampling).  It depends only on sim/topo/trace -- never on runtime; the
+// runtime feeds it through rt::Platform's fan-out, which reports every fact
+// once to the op trace, this layer and xkb::check.  Numbers the op trace
+// already carries (op counts, per-class time and bytes) are not counted
+// again here: finalize_registry sums them from the trace.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -30,6 +34,11 @@
 #include "obs/probes.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "trace/facts.hpp"
+
+namespace xkb::trace {
+class Trace;
+}
 
 namespace xkb::obs {
 
@@ -54,13 +63,6 @@ struct ObsConfig {
   bool enabled = false;
 };
 
-/// What the DataManager picked (mirror of DataManager::Source::Kind; the
-/// mirror avoids an include cycle with runtime/, as in xkb::check).
-enum class Pick : std::uint8_t { kHost, kDevice, kWaitDevice, kWaitHost };
-const char* to_string(Pick p);
-
-enum class Xfer : std::uint8_t { kH2D, kD2D, kD2H };
-
 /// How an ensure_valid request hit the software cache.
 enum class CacheRef : std::uint8_t { kHit, kMiss, kInFlightHit };
 
@@ -72,7 +74,7 @@ struct Decision {
   sim::Time t = 0.0;
   std::uint64_t handle = 0;  ///< tile id
   int dst = -1;              ///< requesting device
-  Pick pick = Pick::kHost;
+  trace::SourceKind pick = trace::SourceKind::kHost;
   int picked_dev = -1;  ///< device source/wait target, -1 for host
   bool forced = false;  ///< kWaitDevice only: coherence-forced, not chosen
   struct Candidate {
@@ -105,14 +107,6 @@ struct Flow {
   sim::Interval dst_iv;  ///< the forwarded D2D copy
 };
 
-/// Virtual-time op totals by class, mirroring trace::Breakdown / the
-/// TransferStats counters so the two accounting paths can be reconciled.
-struct OpTotals {
-  double htod = 0.0, dtoh = 0.0, ptop = 0.0, kernel = 0.0;
-  std::size_t htod_bytes = 0, dtoh_bytes = 0, ptop_bytes = 0;
-  std::size_t h2d = 0, d2h = 0, d2d = 0;  ///< transfer counts
-};
-
 class Observability {
  public:
   explicit Observability(int num_gpus);
@@ -128,16 +122,15 @@ class Observability {
                                    LinkDir dir, int src, int dst);
   void on_kernel(int dev, const std::string& label, sim::Interval iv);
 
-  // --- data-manager hooks ---
+  // --- data-movement hooks ---
   void on_cache_ref(int dev, CacheRef ref);
   void on_evict(int dev, bool dirty);
-  /// A kWaitDevice decision: the request on `dst` now waits for the
-  /// reception ongoing on `src` (forced = coherence, else optimistic).
-  void on_wait(std::uint64_t handle, int src, int dst, bool forced);
+  /// A kWaitDevice decision also opens a wait: the request on `dst` now
+  /// waits for the reception ongoing on `picked_dev`.
   void on_decision(Decision d);
-  /// `chained` marks a D2D copy issued by a reception-completion waiter
+  /// `chained` marks a kPtoP copy issued by a reception-completion waiter
   /// (the forwarding leg of a wait) -- it closes the pending Flow.
-  void on_transfer(Xfer k, std::uint64_t handle, int src, int dst,
+  void on_transfer(trace::OpKind k, std::uint64_t handle, int src, int dst,
                    sim::Interval iv, std::size_t bytes, bool chained);
 
   // --- fault hooks (platform link mutations + runtime recovery) ---
@@ -178,10 +171,6 @@ class Observability {
   const std::vector<Decision>& decisions() const { return decisions_; }
   const std::vector<Flow>& flows() const { return flows_; }
   const std::vector<FaultMark>& fault_marks() const { return fault_marks_; }
-  const OpTotals& totals() const { return all_; }
-  /// Per-device totals with the trace's attribution: HtoD/PtoP to the
-  /// receiving device, DtoH to the source device, kernels to theirs.
-  const OpTotals& totals(int dev) const { return per_gpu_[dev]; }
   /// Latest virtual time observed by any hook or probe.
   sim::Time span() const;
 
@@ -189,22 +178,16 @@ class Observability {
   /// pointers stay valid).  Called where multi-phase runs clear the trace.
   void clear();
 
-  /// Fold the measured values into the registry under canonical names
-  /// (transfers.*, waits.*, cache.*, evict.*, time.*, bytes.*, link.*,
-  /// gpu<g>.*).  Idempotent; call before exporting the registry.
+  /// Fold the run into the registry under canonical names (transfers.*,
+  /// waits.*, cache.*, evict.*, time.*, bytes.*, link.*, gpu<g>.*).  `ops`
+  /// is the op trace of the observed window (the platform's trace):
+  /// transfers.*, time.*, bytes.* and gpu<g>.time.* are its per-class
+  /// counts and sums, added in issue order exactly as Trace::breakdown
+  /// adds them, and waits.* count the decision list.  Idempotent; call
+  /// before exporting the registry.
+  void finalize_registry(const trace::Trace& ops);
+  /// Everything but the op-trace sums, which keep their last values.
   void finalize_registry();
-
-  /// Independently maintained runtime counters, for cross-validation.
-  struct ReconcileView {
-    std::size_t h2d = 0, d2h = 0, d2d = 0;
-    std::size_t optimistic_waits = 0, forced_waits = 0;
-    double htod = 0.0, dtoh = 0.0, ptop = 0.0, kernel = 0.0;
-    std::size_t htod_bytes = 0, dtoh_bytes = 0, ptop_bytes = 0;
-  };
-  /// Compare the observed event stream against `v` (TransferStats +
-  /// Trace::breakdown/bytes); one message per mismatch, empty when the two
-  /// accounting paths agree.  Run under --check this becomes a violation.
-  std::vector<std::string> reconcile(const ReconcileView& v) const;
 
  private:
   int gpus_;
@@ -214,8 +197,6 @@ class Observability {
   std::vector<Flow> flows_;
   std::vector<FaultMark> fault_marks_;
   std::vector<std::pair<std::string, double>> fault_counts_;  // insertion order
-  OpTotals all_;
-  std::vector<OpTotals> per_gpu_;
   std::vector<Series*> ready_;  ///< cached "ready.gpu<g>" series
 
   FlightRecorder flight_;
@@ -224,21 +205,28 @@ class Observability {
 
   std::vector<std::uint64_t> hits_, misses_, inflight_hits_;
   std::vector<std::uint64_t> evict_clean_, evict_dirty_;
-  std::uint64_t opt_waits_ = 0, forced_waits_ = 0;
   sim::Time last_event_ = 0.0;
 
   /// Last reception per (handle, device) + pending wait flags, for flow
-  /// reconstruction.  Key packs the device into the handle id's low bits.
+  /// reconstruction, keyed by the full (handle, device) pair.
   struct PendingRx {
     int tid = 1;
     sim::Interval iv;
   };
-  static std::uint64_t rx_key(std::uint64_t handle, int dev) {
-    return (handle << 8) | static_cast<std::uint64_t>(dev);
-  }
-  std::unordered_map<std::uint64_t, PendingRx> pending_rx_;
+  struct RxKey {
+    std::uint64_t handle = 0;
+    int dev = 0;
+    bool operator==(const RxKey&) const = default;
+  };
+  struct RxKeyHash {
+    std::size_t operator()(const RxKey& k) const {
+      return std::hash<std::uint64_t>{}(k.handle * 0x9e3779b97f4a7c15ull ^
+                                        static_cast<std::uint64_t>(k.dev));
+    }
+  };
+  std::unordered_map<RxKey, PendingRx, RxKeyHash> pending_rx_;
   /// (handle, dst) -> forced flag of the wait that will chain to dst.
-  std::unordered_map<std::uint64_t, bool> pending_wait_;
+  std::unordered_map<RxKey, bool, RxKeyHash> pending_wait_;
 };
 
 }  // namespace xkb::obs

@@ -47,7 +47,7 @@ RunReport build_report(const trace::Trace& tr, const topo::Topology& topo,
 std::string report_text(const RunReport& r);
 
 /// JSON rendering; with `o`, the metrics registry is embedded under
-/// "metrics" (o->finalize_registry() must have run).
+/// "metrics" (o->finalize_registry(tr) must have run).
 std::string report_json(const RunReport& r, const Observability* o = nullptr);
 
 /// Chrome trace-event JSON enriched with the observability record: ready-

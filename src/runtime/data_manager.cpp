@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "check/check.hpp"
 #include "fault/injector.hpp"
 #include "obs/obs.hpp"
 #include "util/selfprof.hpp"
@@ -14,6 +13,9 @@
 namespace xkb::rt {
 
 namespace {
+
+using trace::OpKind;
+using trace::SourceKind;
 
 /// Host -> dense: compact a strided LAPACK-layout tile into tile form
 /// (the cudaMemcpy2D compaction of the paper: ld becomes m).
@@ -34,6 +36,21 @@ void unpack_tile(const mem::DataHandle& h, const std::byte* src) {
 
 std::string endpoint_name(int dev) {
   return dev >= 0 ? "gpu" + std::to_string(dev) : std::string("host");
+}
+
+/// obs fault-track description of a copy that died in flight: "attempt N"
+/// for an injected failure, else why the cancelled copy died.
+std::string abort_detail(OpKind k, const mem::DataHandle& h, int src, int dst,
+                         int attempts, const char* cause) {
+  std::ostringstream os;
+  os << (k == OpKind::kHtoD ? "h2d" : k == OpKind::kPtoP ? "d2d" : "d2h")
+     << " tile " << h.id << " " << endpoint_name(src) << "->"
+     << endpoint_name(dst) << " ";
+  if (cause)
+    os << "cancelled: " << cause;
+  else
+    os << "attempt " << attempts;
+  return os.str();
 }
 
 }  // namespace
@@ -67,17 +84,13 @@ bool DataManager::try_reserve_or_defer(mem::DataHandle* h, int dev,
     // to complete and retry.  A long streak with no successful reservation
     // anywhere means the working set genuinely exceeds device memory.
     if (++consecutive_oom_ > 100000) throw;
-    stats_.oom_deferrals++;
+    plat_->report_oom_deferral();
     plat_->engine().schedule_after(
         50e-6, [this, h, dev, retry, done = std::move(done)]() mutable {
           (this->*retry)(h, dev, std::move(done));
         });
     return false;
   }
-}
-
-void DataManager::prefetch(mem::DataHandle* h, int dev, sim::Callback done) {
-  ensure_valid(h, dev, std::move(done));
 }
 
 void DataManager::unpin(mem::DataHandle* h, int dev) {
@@ -90,23 +103,20 @@ void DataManager::ensure_valid(mem::DataHandle* h, int dev,
                                sim::Callback done) {
   mem::Replica& r = h->dev[dev];
   if (r.state == mem::ReplicaState::kValid) {
-    if (obs::Observability* o = plat_->obs())
-      o->on_cache_ref(dev, obs::CacheRef::kHit);
+    plat_->report_cache_ref(dev, obs::CacheRef::kHit);
     plat_->cache(dev).touch(h, plat_->engine().now());
     plat_->engine().schedule_after(0.0, std::move(done));
     return;
   }
   if (r.state == mem::ReplicaState::kInFlight) {
-    if (obs::Observability* o = plat_->obs())
-      o->on_cache_ref(dev, obs::CacheRef::kInFlightHit);
+    plat_->report_cache_ref(dev, obs::CacheRef::kInFlightHit);
     r.waiters.push_back(std::move(done));
     return;
   }
 
   if (!try_reserve_or_defer(h, dev, done, &DataManager::ensure_valid)) return;
 
-  if (obs::Observability* o = plat_->obs())
-    o->on_cache_ref(dev, obs::CacheRef::kMiss);
+  plat_->report_cache_ref(dev, obs::CacheRef::kMiss);
   if (plat_->options().functional && h->dev_buf.empty())
     h->dev_buf.resize(plat_->num_gpus());
   if (plat_->options().functional && h->dev_buf[dev].size() != h->bytes())
@@ -126,72 +136,29 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
   const Source s = choose_source(*h, dev);
   r.state = mem::ReplicaState::kInFlight;
 
-  if (s.kind == Source::kNone) {
-    // No copy of the bytes exists anywhere.  Legal only while a producer
-    // replay is rebuilding the tile: park until its mark_written re-plans.
-    if (!replay_pending_.count(h)) {
-      std::ostringstream os;
-      os << "no copy of tile " << h->id << " (version " << h->version
-         << ") exists anywhere and no replay is pending: fetch to gpu" << dev
-         << " cannot be satisfied";
-      throw fault::UnrecoverableDataLoss(os.str());
-    }
-    r.fetch_src = mem::kFetchParked;
-    r.fetch_waiting = false;
-    if (obs::Observability* o = plat_->obs()) o->count_fault("parked_fetch");
-    return;
+  if (s.kind == SourceKind::kNone && !replay_pending_.count(h)) {
+    // No copy of the bytes exists anywhere, and no producer replay is
+    // rebuilding the tile that a parked fetch could wait for.
+    std::ostringstream os;
+    os << "no copy of tile " << h->id << " (version " << h->version
+       << ") exists anywhere and no replay is pending: fetch to gpu" << dev
+       << " cannot be satisfied";
+    throw fault::UnrecoverableDataLoss(os.str());
   }
-
-  if (obs::Observability* o = plat_->obs()) {
-    obs::Decision d;
-    d.t = plat_->engine().now();
-    d.handle = h->id;
-    d.dst = dev;
-    switch (s.kind) {
-      case Source::kHost: d.pick = obs::Pick::kHost; break;
-      case Source::kDevice: d.pick = obs::Pick::kDevice; break;
-      case Source::kWaitDevice: d.pick = obs::Pick::kWaitDevice; break;
-      case Source::kWaitHost: d.pick = obs::Pick::kWaitHost; break;
-      case Source::kNone: break;  // handled above
-    }
-    d.picked_dev = s.dev;
-    d.forced = s.forced;
-    const auto& topo = plat_->topology();
-    for (int g : h->valid_devices())
-      d.candidates.push_back({g, topo.p2p_perf_rank(g, dev), false});
-    for (int g : h->inflight_devices())
-      if (g != dev) d.candidates.push_back({g, topo.p2p_perf_rank(g, dev), true});
-    o->on_decision(std::move(d));
-  }
-  if (check::Checker* c = plat_->checker()) {
-    check::SourceKind k = check::SourceKind::kHost;
-    switch (s.kind) {
-      case Source::kHost: k = check::SourceKind::kHost; break;
-      case Source::kDevice: k = check::SourceKind::kDevice; break;
-      case Source::kWaitDevice: k = check::SourceKind::kWaitDevice; break;
-      case Source::kWaitHost: k = check::SourceKind::kWaitHost; break;
-      case Source::kNone: break;  // handled above
-    }
-    c->on_source_choice(h, dev, k, s.dev, s.forced);
-  }
+  plat_->report_source(*h, dev, s.kind, s.dev, s.forced);
 
   switch (s.kind) {
-    case Source::kHost:
+    case SourceKind::kHost:
       issue_h2d(h, dev);
       break;
-    case Source::kDevice:
+    case SourceKind::kDevice:
       h->dev[s.dev].pins++;  // keep the source alive during the copy
       issue_p2p(h, s.dev, dev);
       break;
-    case Source::kWaitDevice: {
-      // Chain on the in-flight reception.  Only waits *chosen* by the
-      // optimistic heuristic count towards its ablation counter; waits forced
-      // by coherence (the in-flight copy is the only one) fire under every
-      // configuration and are tallied separately.
+    case SourceKind::kWaitDevice: {
+      // Chain on the in-flight reception (the report above counted the
+      // wait: chosen by the optimistic heuristic, or forced by coherence).
       const int g = s.dev;
-      (s.forced ? stats_.forced_waits : stats_.optimistic_waits)++;
-      if (obs::Observability* o = plat_->obs())
-        o->on_wait(h->id, g, dev, s.forced);
       h->dev[g].pins++;  // survive until the forwarding copy completes
       r.eta = h->dev[g].eta;  // rough: refined when the copy is issued
       r.fetch_src = g;
@@ -199,13 +166,16 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
       h->dev[g].chained_dsts.push_back(dev);
       break;
     }
-    case Source::kWaitHost:
+    case SourceKind::kWaitHost:
       r.fetch_src = mem::kFetchHost;
       r.fetch_waiting = true;
       h->host.chained_dsts.push_back(dev);
       break;
-    case Source::kNone:
-      break;  // handled above
+    case SourceKind::kNone:
+      // Park until the pending replay's mark_written re-plans.
+      r.fetch_src = mem::kFetchParked;
+      r.fetch_waiting = false;
+      break;
   }
 }
 
@@ -259,17 +229,17 @@ DataManager::Source DataManager::choose_source(const mem::DataHandle& h,
         for (int g : valid)
           if (topo.p2p_perf_rank(g, dst) > topo.p2p_perf_rank(best, dst))
             best = g;
-        if (topo.p2p_perf_rank(best, dst) > 0) return {Source::kDevice, best};
+        if (topo.p2p_perf_rank(best, dst) > 0) return {SourceKind::kDevice, best};
         break;  // no peer path: fall through to the host
       }
       case SourcePolicy::kFirstValid:
         if (topo.p2p_perf_rank(valid.front(), dst) > 0)
-          return {Source::kDevice, valid.front()};
+          return {SourceKind::kDevice, valid.front()};
         break;
       case SourcePolicy::kSwitchPeer: {
         for (int g : valid)
           if (topo.host_link_of(g) == topo.host_link_of(dst))
-            return {Source::kDevice, g};
+            return {SourceKind::kDevice, g};
         break;  // no switch peer holds it: use the host
       }
       case SourcePolicy::kHostOnly:
@@ -288,42 +258,35 @@ DataManager::Source DataManager::choose_source(const mem::DataHandle& h,
           if (topo.p2p_perf_rank(g, dst) > topo.p2p_perf_rank(best, dst))
             best = g;
         if (topo.p2p_perf_rank(best, dst) > 0)
-          return {Source::kWaitDevice, best};
+          return {SourceKind::kWaitDevice, best};
       }
     }
-    return {Source::kHost, -1};
+    return {SourceKind::kHost, -1};
   }
 
   // Host copy not valid.  If some device holds the data but has no peer path
   // (or the policy refused it), we still must produce the bytes: fall back to
   // the authoritative device copy.
-  if (!valid.empty()) return {Source::kDevice, valid.front()};
+  if (!valid.empty()) return {SourceKind::kDevice, valid.front()};
 
   if (h.host.state == mem::ReplicaState::kInFlight)
-    return {Source::kWaitHost, -1};
+    return {SourceKind::kWaitHost, -1};
 
   const std::vector<int> flying = fed_flying();
-  if (flying.empty()) return {Source::kNone, -1};
+  if (flying.empty()) return {SourceKind::kNone, -1};
   // Forced wait (not a heuristic): the only copy is in flight.
   int best = flying.front();
   for (int g : flying)
     if (topo.p2p_perf_rank(g, dst) > topo.p2p_perf_rank(best, dst)) best = g;
-  return {Source::kWaitDevice, best, /*forced=*/true};
+  return {SourceKind::kWaitDevice, best, /*forced=*/true};
 }
 
 void DataManager::reserve_with_flushes(mem::DataHandle* h, int dev) {
   auto res = plat_->cache(dev).reserve(h);
-  if (check::Checker* c = plat_->checker())
-    for (mem::DataHandle* v : res.clean_evicted)
-      c->on_evict(v, dev, /*was_dirty=*/false);
-  if (obs::Observability* o = plat_->obs())
-    for (std::size_t i = 0; i < res.clean_evicted.size(); ++i)
-      o->on_evict(dev, /*dirty=*/false);
+  for (mem::DataHandle* v : res.clean_evicted)
+    plat_->report_evict(*v, dev, /*dirty=*/false);
   for (mem::DataHandle* v : res.dirty_evicted) {
-    stats_.evict_flushes++;
-    if (check::Checker* c = plat_->checker())
-      c->on_evict(v, dev, /*was_dirty=*/true);
-    if (obs::Observability* o = plat_->obs()) o->on_evict(dev, /*dirty=*/true);
+    plat_->report_evict(*v, dev, /*dirty=*/true);
     flush_from_device(v, dev, /*drop_buffer=*/true);
   }
   if (plat_->options().functional) {
@@ -341,8 +304,8 @@ void DataManager::issue_h2d(mem::DataHandle* h, int dst) {
   if (fault::Injector* f = plat_->fault())
     fail = f->should_fail_transfer(fault::TransferKind::kH2D, -1, dst,
                                    plat_->engine().now());
-  stats_.h2d++;
-  auto iv = plat_->copy_h2d(dst, h->bytes(), [this, h, dst, gen, fail] {
+  auto iv = plat_->transfer(OpKind::kHtoD, *h, -1, dst, /*chained=*/false,
+                            [this, h, dst, gen, fail] {
     mem::Replica& r = h->dev[dst];
     // Cancelled mid-flight (re-plan or device failure): whoever bumped the
     // generation owns the cleanup; this completion is a dead DMA.
@@ -354,12 +317,6 @@ void DataManager::issue_h2d(mem::DataHandle* h, int dst) {
     if (plat_->options().functional) pack_tile(*h, h->dev_buf[dst].data());
     complete_arrival(h, dst);
   });
-  if (check::Checker* c = plat_->checker())
-    c->on_transfer_issue(check::TransferKind::kH2D, h, -1, dst, iv.start,
-                         iv.end);
-  if (obs::Observability* o = plat_->obs())
-    o->on_transfer(obs::Xfer::kH2D, h->id, -1, dst, iv, h->bytes(),
-                   /*chained=*/false);
   r.eta = iv.end;
 }
 
@@ -374,9 +331,8 @@ void DataManager::issue_p2p(mem::DataHandle* h, int src, int dst,
   if (fault::Injector* f = plat_->fault())
     fail = f->should_fail_transfer(fault::TransferKind::kD2D, src, dst,
                                    plat_->engine().now());
-  stats_.d2d++;
-  auto iv = plat_->copy_p2p(src, dst, h->bytes(), [this, h, src, dst, gen,
-                                                   fail] {
+  auto iv = plat_->transfer(OpKind::kPtoP, *h, src, dst, chained,
+                            [this, h, src, dst, gen, fail] {
     mem::Replica& r = h->dev[dst];
     if (r.fetch_gen != gen || r.state != mem::ReplicaState::kInFlight) return;
     if (fail) {
@@ -388,11 +344,6 @@ void DataManager::issue_p2p(mem::DataHandle* h, int src, int dst,
     unpin(h, src);
     complete_arrival(h, dst);
   });
-  if (check::Checker* c = plat_->checker())
-    c->on_transfer_issue(check::TransferKind::kD2D, h, src, dst, iv.start,
-                         iv.end);
-  if (obs::Observability* o = plat_->obs())
-    o->on_transfer(obs::Xfer::kD2D, h->id, src, dst, iv, h->bytes(), chained);
   r.eta = iv.end;
 }
 
@@ -404,13 +355,10 @@ void DataManager::reception_failed(mem::DataHandle* h, int src, int dst) {
   r.fetch_attempts++;
   const fault::RetryPolicy& rp = f->retry();
   const int attempts = r.fetch_attempts;
-  if (obs::Observability* o = plat_->obs()) {
-    std::ostringstream os;
-    os << (src >= 0 ? "d2d" : "h2d") << " tile " << h->id << " "
-       << endpoint_name(src) << "->gpu" << dst << " attempt " << attempts;
-    o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-  }
+  const OpKind k = src >= 0 ? OpKind::kPtoP : OpKind::kHtoD;
+  std::string detail = abort_detail(k, *h, src, dst, attempts, nullptr);
   if (attempts > rp.max_transfer_retries) {
+    plat_->report_fault("transfer_abort", std::move(detail));
     std::ostringstream os;
     os << "transfer of tile " << h->id << " to gpu" << dst << " from "
        << endpoint_name(src) << " failed " << attempts
@@ -418,12 +366,8 @@ void DataManager::reception_failed(mem::DataHandle* h, int src, int dst) {
        << "): giving up";
     throw fault::TransferRetriesExhausted(os.str());
   }
-  stats_.transfer_aborts++;
-  if (check::Checker* c = plat_->checker())
-    c->on_transfer_abort(src >= 0 ? check::TransferKind::kD2D
-                                  : check::TransferKind::kH2D,
-                         h, src, dst, static_cast<std::size_t>(attempts),
-                         static_cast<std::size_t>(rp.max_transfer_retries));
+  plat_->report_abort(k, *h, src, dst, attempts, rp.max_transfer_retries,
+                      std::move(detail));
   r.fetch_gen++;
   r.fetch_src = mem::kFetchIdle;
   r.fetch_waiting = false;
@@ -433,8 +377,7 @@ void DataManager::reception_failed(mem::DataHandle* h, int src, int dst) {
     mem::Replica& rr = h->dev[dst];
     if (rr.fetch_gen != gen || rr.state != mem::ReplicaState::kInFlight)
       return;  // superseded while backing off (e.g. device-failure re-plan)
-    stats_.transfer_retries++;
-    if (obs::Observability* o = plat_->obs()) o->count_fault("transfer_retry");
+    plat_->report_retry();
     plan_fetch(h, dst);
   };
   XKB_ASSERT_INLINE_CAPTURE(retry);
@@ -448,8 +391,7 @@ void DataManager::complete_arrival(mem::DataHandle* h, int dev) {
   r.fetch_src = mem::kFetchIdle;
   r.fetch_waiting = false;
   r.fetch_attempts = 0;
-  if (check::Checker* c = plat_->checker())
-    c->on_arrival(h, dev, plat_->engine().now());
+  plat_->report_arrival(*h, dev);
   plat_->cache(dev).touch(h, plat_->engine().now());
   // Forward to every reception chained on this arrival (Section III-C).
   // Chains cancelled by recovery removed themselves from the list, so
@@ -520,8 +462,7 @@ void DataManager::mark_written(mem::DataHandle* h, int dev) {
   // MRU end instead of walking to the writer's stale stamp.
   plat_->cache(dev).touch(h, plat_->engine().now());
   plat_->cache(dev).set_dirty(h, true);
-  if (check::Checker* c = plat_->checker())
-    c->on_mark_written(h, dev, plat_->engine().now());
+  plat_->report_written(*h, dev);
   replay_pending_.erase(h);
   if (was_parked) {
     // The replay landed on the very device a parked fetch was promised to:
@@ -557,7 +498,7 @@ void DataManager::host_write(mem::DataHandle* h) {
   }
   h->host.state = mem::ReplicaState::kValid;
   h->host.fetch_src = mem::kFetchIdle;  // any aborted flush is superseded
-  if (check::Checker* c = plat_->checker()) c->on_host_write(h);
+  plat_->report_host_write(*h);
   replay_pending_.erase(h);
   for (int g : parked) replan_fetch(h, g);
   // Receptions chained on a host flush promise: the CPU write supersedes
@@ -607,11 +548,9 @@ void DataManager::flush_from_device(mem::DataHandle* h, int src,
     fail = f->should_fail_transfer(fault::TransferKind::kD2H, src, -1,
                                    plat_->engine().now());
   h->dev[src].pins++;
-  stats_.d2h++;
   const std::uint64_t v0 = h->version;
-  if (check::Checker* c = plat_->checker()) c->on_host_flush_issue(h, src, v0);
-  auto iv = plat_->copy_d2h(src, h->bytes(), [this, h, src, drop_buffer, v0,
-                                              gen, fail] {
+  plat_->transfer(OpKind::kDtoH, *h, src, -1, /*chained=*/false,
+                  [this, h, src, drop_buffer, v0, gen, fail] {
     // The source pin is released even when this flush was superseded by a
     // newer one -- unless the device died, which zeroed its pin counts.
     if (!plat_->device_failed(src)) h->dev[src].pins--;
@@ -621,9 +560,7 @@ void DataManager::flush_from_device(mem::DataHandle* h, int src,
       flush_failed(h, src, drop_buffer);
       return;
     }
-    if (check::Checker* c = plat_->checker())
-      c->on_host_flush_done(h, src, /*stale=*/h->version != v0, v0,
-                            plat_->engine().now());
+    plat_->report_flush_done(*h, src, /*stale=*/h->version != v0, v0);
 
     if (h->version != v0) {
       // A newer version was produced while this (eviction) flush was in
@@ -670,9 +607,6 @@ void DataManager::flush_from_device(mem::DataHandle* h, int src,
         issue_h2d(h, d);
     }
   });
-  if (obs::Observability* o = plat_->obs())
-    o->on_transfer(obs::Xfer::kD2H, h->id, src, -1, iv, h->bytes(),
-                   /*chained=*/false);
 }
 
 void DataManager::flush_failed(mem::DataHandle* h, int src, bool drop_buffer) {
@@ -681,24 +615,18 @@ void DataManager::flush_failed(mem::DataHandle* h, int src, bool drop_buffer) {
   h->host.fetch_attempts++;
   const fault::RetryPolicy& rp = f->retry();
   const int attempts = h->host.fetch_attempts;
-  if (obs::Observability* o = plat_->obs()) {
-    std::ostringstream os;
-    os << "d2h tile " << h->id << " gpu" << src << "->host attempt "
-       << attempts;
-    o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-  }
+  std::string detail =
+      abort_detail(OpKind::kDtoH, *h, src, -1, attempts, nullptr);
   if (attempts > rp.max_transfer_retries) {
+    plat_->report_fault("transfer_abort", std::move(detail));
     std::ostringstream os;
     os << "flush of tile " << h->id << " from gpu" << src << " to the host"
        << " failed " << attempts << " times (retry cap "
        << rp.max_transfer_retries << "): giving up";
     throw fault::TransferRetriesExhausted(os.str());
   }
-  stats_.transfer_aborts++;
-  if (check::Checker* c = plat_->checker())
-    c->on_transfer_abort(check::TransferKind::kD2H, h, src, -1,
-                         static_cast<std::size_t>(attempts),
-                         static_cast<std::size_t>(rp.max_transfer_retries));
+  plat_->report_abort(OpKind::kDtoH, *h, src, -1, attempts,
+                      rp.max_transfer_retries, std::move(detail));
   h->host.fetch_gen++;
   const std::uint32_t gen = h->host.fetch_gen;
   const double delay = rp.backoff_for(attempts);
@@ -706,8 +634,7 @@ void DataManager::flush_failed(mem::DataHandle* h, int src, bool drop_buffer) {
     if (h->host.fetch_gen != gen ||
         h->host.state != mem::ReplicaState::kInFlight)
       return;  // superseded (device failure re-planned, or CPU overwrote)
-    stats_.transfer_retries++;
-    if (obs::Observability* o = plat_->obs()) o->count_fault("transfer_retry");
+    plat_->report_retry();
     // Re-read from whichever device is authoritative by now; for an
     // eviction flush the replica is already invalid (the bytes only live
     // in its buffer), so retry against the original source.
@@ -744,18 +671,10 @@ void DataManager::on_device_failure(
         cd.erase(std::remove(cd.begin(), cd.end(), g), cd.end());
       } else if (r.fetch_src >= 0 || r.fetch_src == mem::kFetchHost) {
         // An actual copy toward g is airborne: abort it.
-        stats_.transfer_aborts++;
-        if (check::Checker* c = plat_->checker())
-          c->on_transfer_abort(r.fetch_src >= 0 ? check::TransferKind::kD2D
-                                                : check::TransferKind::kH2D,
-                               h, r.fetch_src, g, 0, 0);
-        if (obs::Observability* o = plat_->obs()) {
-          std::ostringstream os;
-          os << (r.fetch_src >= 0 ? "d2d" : "h2d") << " tile " << h->id
-             << " " << endpoint_name(r.fetch_src) << "->gpu" << g
-             << " cancelled: destination died";
-          o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-        }
+        const OpKind k = r.fetch_src >= 0 ? OpKind::kPtoP : OpKind::kHtoD;
+        plat_->report_abort(
+            k, *h, r.fetch_src, g, 0, 0,
+            abort_detail(k, *h, r.fetch_src, g, 0, "destination died"));
         if (r.fetch_src >= 0 && !plat_->device_failed(r.fetch_src))
           unpin(h, r.fetch_src);
       }
@@ -763,15 +682,9 @@ void DataManager::on_device_failure(
     // A host flush reading from g dies with it.
     if (h->host.state == mem::ReplicaState::kInFlight &&
         h->host.fetch_src == g) {
-      stats_.transfer_aborts++;
-      if (check::Checker* c = plat_->checker())
-        c->on_transfer_abort(check::TransferKind::kD2H, h, g, -1, 0, 0);
-      if (obs::Observability* o = plat_->obs()) {
-        std::ostringstream os;
-        os << "d2h tile " << h->id << " gpu" << g
-           << "->host cancelled: source died";
-        o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-      }
+      plat_->report_abort(
+          OpKind::kDtoH, *h, g, -1, 0, 0,
+          abort_detail(OpKind::kDtoH, *h, g, -1, 0, "source died"));
       h->host.fetch_gen++;
       h->host.fetch_src = mem::kFetchIdle;
       flush_aborted.push_back(h);
@@ -798,10 +711,7 @@ void DataManager::on_device_failure(
     r.fetch_attempts = 0;
     r.eta = 0.0;
     if (was_valid) {
-      if (check::Checker* c = plat_->checker())
-        c->on_replica_lost(h, g, was_dirty);
-      if (obs::Observability* o = plat_->obs())
-        o->count_fault("replica_lost");
+      plat_->report_replica_lost(*h, g, was_dirty);
       if (was_dirty) lost.emplace_back(h, true);
     }
   }
@@ -821,8 +731,7 @@ void DataManager::on_device_failure(
       }
     if (survivor >= 0) {
       plat_->cache(survivor).set_dirty(h, true);
-      if (check::Checker* c = plat_->checker()) c->on_promote(h, survivor);
-      if (obs::Observability* o = plat_->obs()) o->count_fault("promote");
+      plat_->report_promote(*h, survivor);
       continue;
     }
     if (replay_pending_.count(h)) continue;
@@ -872,21 +781,13 @@ void DataManager::on_device_failure(
         continue;
       if (!rd.fetch_waiting) {
         // The copy g->d was airborne; its completion is now a dead DMA.
-        stats_.transfer_aborts++;
-        if (check::Checker* c = plat_->checker())
-          c->on_transfer_abort(check::TransferKind::kD2D, h, g, d, 0, 0);
-        if (obs::Observability* o = plat_->obs()) {
-          std::ostringstream os;
-          os << "d2d tile " << h->id << " gpu" << g << "->gpu" << d
-             << " cancelled: source died";
-          o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-        }
+        plat_->report_abort(
+            OpKind::kPtoP, *h, g, d, 0, 0,
+            abort_detail(OpKind::kPtoP, *h, g, d, 0, "source died"));
       } else {
         // A waiter chained on g's pending arrival: the wait can never be
         // satisfied, so the re-plan below picks a surviving source.
-        stats_.waiter_replans++;
-        if (obs::Observability* o = plat_->obs())
-          o->count_fault("waiter_replan");
+        plat_->report_waiter_replan();
       }
       replan_fetch(h, d);
     }

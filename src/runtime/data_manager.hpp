@@ -47,12 +47,7 @@
 
 namespace xkb::rt {
 
-enum class SourcePolicy {
-  kTopologyAware,
-  kFirstValid,
-  kSwitchPeer,
-  kHostOnly,
-};
+using SourcePolicy = trace::SourcePolicy;
 
 struct HeuristicConfig {
   SourcePolicy source = SourcePolicy::kTopologyAware;
@@ -70,39 +65,14 @@ struct HeuristicConfig {
   }
 };
 
-/// Counters exposed for experiments and tests.
-struct TransferStats {
-  std::size_t h2d = 0;               ///< host-to-device transfers issued
-  std::size_t d2h = 0;
-  std::size_t d2d = 0;               ///< device-to-device transfers issued
-  /// Duplicate H2D avoided by the Section III-C heuristic: a valid host copy
-  /// existed but we chained on an in-flight peer reception instead.  Only
-  /// incremented when HeuristicConfig::optimistic_d2d chose to wait -- the
-  /// ablation configurations must report 0 here.
-  std::size_t optimistic_waits = 0;
-  /// Waits forced by coherence, not chosen by the heuristic: the only copy
-  /// of the data was in flight, so there was nothing else to copy from.
-  /// These fire under every HeuristicConfig.
-  std::size_t forced_waits = 0;
-  std::size_t evict_flushes = 0;
-  std::size_t oom_deferrals = 0;  ///< acquisitions deferred under pressure
-  /// Transfers that died in flight: injected transient failures plus copies
-  /// cancelled because an endpoint device failed.
-  std::size_t transfer_aborts = 0;
-  /// Fetches re-issued after a transient failure's backoff elapsed.
-  std::size_t transfer_retries = 0;
-  /// Optimistic/forced waiters whose awaited source device failed while
-  /// their chained reception was pending: each was re-planned to a
-  /// surviving source (or the host) instead of deadlocking.
-  std::size_t waiter_replans = 0;
-};
-
 class DataManager {
  public:
   DataManager(Platform& plat, HeuristicConfig cfg) : plat_(&plat), cfg_(cfg) {}
 
   const HeuristicConfig& config() const { return cfg_; }
-  const TransferStats& stats() const { return stats_; }
+  /// The platform's fact counters (the DataManager reports every transfer
+  /// through Platform's instrumentation stream).
+  const TransferStats& stats() const { return plat_->stats(); }
 
   /// Make `h` usable on `dev` under `mode`; `done` fires (possibly on the
   /// next engine event) when the replica is ready.  The replica is pinned
@@ -124,10 +94,6 @@ class DataManager {
   /// dropped and the host becomes the sole valid copy.  Callers must order
   /// this after pending accesses (the runtime submits it as a writer task).
   void host_write(mem::DataHandle* h);
-
-  /// Place a valid replica on `dev` without a consuming task (used by the
-  /// 2D block-cyclic distribution routine).  Does not pin.
-  void prefetch(mem::DataHandle* h, int dev, sim::Callback done);
 
   /// Device-failure recovery, called by the runtime after the topology
   /// blacklisted `g`.  For every handle (in `handles` order, so the walk is
@@ -151,7 +117,7 @@ class DataManager {
 
  private:
   struct Source {
-    enum Kind { kHost, kDevice, kWaitDevice, kWaitHost, kNone } kind = kHost;
+    trace::SourceKind kind = trace::SourceKind::kHost;
     int dev = -1;
     /// kWaitDevice only: true when the wait is forced (the in-flight copy is
     /// the only one anywhere) rather than chosen by the optimistic heuristic.
@@ -164,9 +130,9 @@ class DataManager {
   void ensure_valid(mem::DataHandle* h, int dev, sim::Callback done);
   /// Source selection + issue for a replica already in kInFlight: runs
   /// choose_source (with the destination masked out, so a re-plan never
-  /// picks itself), emits the decision to obs/check, and issues the copy
-  /// or registers the chain.  kNone parks the fetch when a producer replay
-  /// is pending, else raises UnrecoverableDataLoss.
+  /// picks itself), reports the decision, and issues the copy or registers
+  /// the chain.  kNone parks the fetch when a producer replay is pending,
+  /// else raises UnrecoverableDataLoss.
   void plan_fetch(mem::DataHandle* h, int dev);
   /// Cancel whatever fetch `dev`'s in-flight replica was waiting on (bumps
   /// fetch_gen) and plan a fresh one.  No-op unless the replica is
@@ -211,7 +177,6 @@ class DataManager {
 
   Platform* plat_;
   HeuristicConfig cfg_;
-  TransferStats stats_;
   std::size_t consecutive_oom_ = 0;
   /// Handles whose current version died with a GPU and whose producer is
   /// being replayed; mark_written clears the entry and re-plans parked

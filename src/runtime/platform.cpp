@@ -1,11 +1,9 @@
 #include "runtime/platform.hpp"
 
 #include <cassert>
-#include <limits>
 
 #include "fault/injector.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/obs.hpp"
 
 namespace xkb::rt {
 
@@ -39,11 +37,10 @@ Platform::Platform(topo::Topology topo, PerfModel perf, PlatformOptions opt)
 
   // Kernel streams enable *submission* concurrency on real GPUs but share
   // the SMs: concurrent kernels time-slice rather than multiply throughput.
-  // A single FIFO per device models the aggregate compute correctly; the
-  // kernel_streams option is kept for trace labelling.
-  kstreams_.resize(n);
+  // A single FIFO per device models the aggregate compute correctly.
+  kernels_.reserve(n);
   for (int g = 0; g < n; ++g)
-    kstreams_[g].push_back(
+    kernels_.push_back(
         std::make_unique<sim::FifoResource>(engine_, "k" + std::to_string(g)));
 
   host_worker_ = std::make_unique<sim::FifoResource>(engine_, "host");
@@ -126,35 +123,30 @@ void Platform::sync_link_bandwidth(int a, int b) {
 void Platform::apply_link_brownout(int a, int b, double fraction) {
   topo_.scale_link_bandwidth(a, b, fraction);
   sync_link_bandwidth(a, b);
-  if (obs_)
-    obs_->on_fault_mark(engine_.now(), "brownout",
-                        "link " + std::to_string(a) + "-" + std::to_string(b) +
-                            " at " + std::to_string(fraction) + "x nominal");
+  report_fault("brownout", "link " + std::to_string(a) + "-" +
+                              std::to_string(b) + " at " +
+                              std::to_string(fraction) + "x nominal");
 }
 
 void Platform::apply_link_heal(int a, int b) {
   topo_.restore_link(a, b);
   sync_link_bandwidth(a, b);
-  if (obs_)
-    obs_->on_fault_mark(engine_.now(), "link_heal",
-                        "link " + std::to_string(a) + "-" + std::to_string(b) +
-                            " restored to nominal");
+  report_fault("link_heal", "link " + std::to_string(a) + "-" +
+                               std::to_string(b) + " restored to nominal");
 }
 
 void Platform::apply_link_down(int a, int b) {
   const topo::LinkClass c = topo_.demote_link(a, b);
   sync_link_bandwidth(a, b);
-  if (obs_)
-    obs_->on_fault_mark(engine_.now(), "link_down",
-                        "link " + std::to_string(a) + "-" + std::to_string(b) +
-                            " demoted to " + topo::to_string(c));
+  report_fault("link_down", "link " + std::to_string(a) + "-" +
+                               std::to_string(b) + " demoted to " +
+                               topo::to_string(c));
 }
 
 void Platform::apply_device_failure(int g) {
   topo_.set_device_failed(g);
-  if (obs_)
-    obs_->on_fault_mark(engine_.now(), "device_fail",
-                        "GPU " + std::to_string(g) + " failed");
+  report_fault("device_fail", "GPU " + std::to_string(g) + " failed");
+  if (checker_) checker_->on_device_failure(g);
 }
 
 sim::Interval Platform::copy_h2d(int dev, std::size_t bytes,
@@ -207,23 +199,15 @@ sim::Interval Platform::copy_p2p(int src, int dst, std::size_t bytes,
 
 sim::Interval Platform::launch_kernel(int dev, double seconds, double flops,
                                       const std::string& label,
-                                      sim::Callback done, int* lane_out) {
-  // Pick the stream that frees up first (deterministic tie-break by index).
-  sim::FifoResource* best = kstreams_[dev][0].get();
-  int lane = 0;
-  for (std::size_t k = 1; k < kstreams_[dev].size(); ++k)
-    if (kstreams_[dev][k]->available_at() < best->available_at()) {
-      best = kstreams_[dev][k].get();
-      lane = static_cast<int>(k);
-    }
+                                      sim::Callback done, std::uint64_t task) {
   const sim::Time t0 = engine_.now();
-  auto iv = best->submit(seconds, std::move(done));
+  auto iv = kernels_[dev]->submit(seconds, std::move(done));
   trace::Record rec{dev, trace::OpKind::kKernel, iv.start, iv.end,
-                    0,   flops,                  lane,     label};
+                    0,   flops,                  0,        label};
   rec.queued = iv.start - t0;
   trace_.add(std::move(rec));
   if (obs_) obs_->on_kernel(dev, label, iv);
-  if (lane_out) *lane_out = lane;
+  if (checker_) checker_->on_kernel_issue(task, dev, iv.start, iv.end);
   return iv;
 }
 
@@ -231,16 +215,62 @@ sim::Interval Platform::host_work(double seconds, sim::Callback done) {
   return host_worker_->submit(seconds, std::move(done));
 }
 
-sim::Time Platform::kernel_available_at(int dev) const {
-  sim::Time best = std::numeric_limits<sim::Time>::max();
-  for (const auto& s : kstreams_[dev]) best = std::min(best, s->available_at());
-  return best;
+sim::Interval Platform::transfer(trace::OpKind k, const mem::DataHandle& h,
+                                 int src, int dst, bool chained,
+                                 sim::Callback done) {
+  assert(k != trace::OpKind::kKernel && "a kernel is not a transfer");
+  const std::size_t bytes = h.bytes();
+  const bool h2d = k == trace::OpKind::kHtoD, p2p = k == trace::OpKind::kPtoP;
+  const sim::Interval iv = h2d   ? copy_h2d(dst, bytes, std::move(done))
+                           : p2p ? copy_p2p(src, dst, bytes, std::move(done))
+                                 : copy_d2h(src, bytes, std::move(done));
+  ++(h2d ? stats_.h2d : p2p ? stats_.d2d : stats_.d2h);
+  if (checker_) checker_->on_transfer_issue(k, &h, src, dst, iv.start, iv.end);
+  if (obs_) obs_->on_transfer(k, h.id, src, dst, iv, bytes, chained);
+  return iv;
 }
 
-double Platform::kernel_busy(int dev) const {
-  double total = 0.0;
-  for (const auto& s : kstreams_[dev]) total += s->busy_time();
-  return total;
+void Platform::report_source(const mem::DataHandle& h, int dst,
+                             trace::SourceKind k, int src, bool forced) {
+  if (k == trace::SourceKind::kNone) {
+    if (obs_) obs_->count_fault("parked_fetch");
+    return;
+  }
+  if (k == trace::SourceKind::kWaitDevice)
+    ++(forced ? stats_.forced_waits : stats_.optimistic_waits);
+  if (obs_) {
+    obs::Decision d;
+    d.t = engine_.now();
+    d.handle = h.id;
+    d.dst = dst;
+    d.pick = k;
+    d.picked_dev = src;
+    d.forced = forced;
+    for (int g : h.valid_devices())
+      d.candidates.push_back({g, topo_.p2p_perf_rank(g, dst), false});
+    for (int g : h.inflight_devices())
+      if (g != dst)
+        d.candidates.push_back({g, topo_.p2p_perf_rank(g, dst), true});
+    obs_->on_decision(std::move(d));
+  }
+  if (checker_) checker_->on_source_choice(&h, dst, k, src, forced);
+}
+
+void Platform::report_evict(const mem::DataHandle& h, int dev, bool dirty) {
+  if (dirty) ++stats_.evict_flushes;
+  if (checker_) checker_->on_evict(&h, dev, dirty);
+  if (obs_) obs_->on_evict(dev, dirty);
+}
+
+void Platform::report_abort(trace::OpKind k, const mem::DataHandle& h, int src,
+                            int dst, int attempts, int cap,
+                            std::string detail) {
+  ++stats_.transfer_aborts;
+  if (checker_)
+    checker_->on_transfer_abort(k, &h, src, dst,
+                                static_cast<std::size_t>(attempts),
+                                static_cast<std::size_t>(cap));
+  report_fault("transfer_abort", std::move(detail));
 }
 
 }  // namespace xkb::rt

@@ -12,29 +12,6 @@
 
 namespace xkb::rt {
 
-namespace {
-
-check::Mode mirror(Access a) {
-  switch (a) {
-    case Access::kR: return check::Mode::kR;
-    case Access::kW: return check::Mode::kW;
-    case Access::kRW: return check::Mode::kRW;
-  }
-  return check::Mode::kR;
-}
-
-check::Policy mirror(SourcePolicy p) {
-  switch (p) {
-    case SourcePolicy::kTopologyAware: return check::Policy::kTopologyAware;
-    case SourcePolicy::kFirstValid: return check::Policy::kFirstValid;
-    case SourcePolicy::kSwitchPeer: return check::Policy::kSwitchPeer;
-    case SourcePolicy::kHostOnly: return check::Policy::kHostOnly;
-  }
-  return check::Policy::kTopologyAware;
-}
-
-}  // namespace
-
 void RuntimeOptions::validate() const {
   if (prepare_window <= 0)
     throw std::invalid_argument(
@@ -64,8 +41,8 @@ Runtime::Runtime(Platform& plat, std::unique_ptr<Scheduler> sched,
   opt_.validate();  // before any observer is registered on the engine
   if (opt_.check.enabled) {
     checker_ = std::make_unique<check::Checker>(
-        opt_.check, plat.num_gpus(), plat.options().kernel_streams,
-        mirror(opt_.heuristics.source), opt_.heuristics.optimistic_d2d);
+        opt_.check, plat.num_gpus(), opt_.heuristics.source,
+        opt_.heuristics.optimistic_d2d);
     plat_->set_checker(checker_.get());
     plat_->engine().set_observer(
         [c = checker_.get()](sim::Time t, std::uint64_t seq) {
@@ -96,12 +73,16 @@ Runtime::~Runtime() {
   }
 }
 
-void Runtime::submit(TaskDesc desc) {
+Task* Runtime::new_task(TaskDesc desc) {
   tasks_.push_back(std::make_unique<Task>(std::move(desc)));
   Task* t = tasks_.back().get();
   t->id = next_id_++;
   ++submitted_;
+  return t;
+}
 
+void Runtime::submit(TaskDesc desc) {
+  Task* t = new_task(std::move(desc));
   // Derive dependencies from program order of accesses.
   std::vector<Task*> preds;
   for (const TaskAccess& a : t->desc.accesses) {
@@ -119,13 +100,6 @@ void Runtime::submit(TaskDesc desc) {
       hs.last_writer = t;
     }
   }
-  // Dedup in *id* order, never pointer order: sorting Task pointers would
-  // bake heap addresses into pred_ids (an xkb-address-ordering violation)
-  // and force every downstream consumer to re-sort defensively.
-  std::sort(preds.begin(), preds.end(),
-            [](const Task* a, const Task* b) { return a->id < b->id; });
-  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
-  preds.erase(std::remove(preds.begin(), preds.end(), t), preds.end());
   if (checker_) {
     // Test-only fault: lose one dependence edge (the checker's race
     // detector must catch the resulting unordered accesses).
@@ -137,30 +111,11 @@ void Runtime::submit(TaskDesc desc) {
                                  }),
                   preds.end());
   }
-  for (Task* p : preds) {
-    p->successors.push_back(t);
-    ++t->pending_deps;
-  }
-  if (checker_) {
-    std::vector<std::pair<const mem::DataHandle*, check::Mode>> acc;
-    acc.reserve(t->desc.accesses.size());
-    for (const TaskAccess& a : t->desc.accesses)
-      acc.emplace_back(a.handle, mirror(a.mode));
-    std::vector<std::uint64_t> pred_ids;
-    pred_ids.reserve(preds.size());
-    for (Task* p : preds) pred_ids.push_back(p->id);
-    checker_->on_submit(t->id, t->desc.label, acc, std::move(pred_ids));
-  }
-  if (watchdog_) watchdog_->ensure_armed();
-  if (t->pending_deps == 0) on_ready(t);
+  enqueue(t, std::move(preds));
 }
 
 Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
-  tasks_.push_back(std::make_unique<Task>(std::move(desc)));
-  Task* t = tasks_.back().get();
-  t->id = next_id_++;
-  ++submitted_;
-
+  Task* t = new_task(std::move(desc));
   std::vector<Task*> preds;
   for (const TaskAccess& a : t->desc.accesses) {
     HandleSeq& hs = seq_[a.handle];
@@ -176,18 +131,27 @@ Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
     if (hs.last_writer && !hs.last_writer->done) preds.push_back(hs.last_writer);
     hs.readers.push_back(t);
   }
+  enqueue(t, std::move(preds));
+  return t;
+}
+
+void Runtime::enqueue(Task* t, std::vector<Task*> preds) {
+  // Dedup in *id* order, never pointer order: sorting Task pointers would
+  // bake heap addresses into pred_ids (an xkb-address-ordering violation)
+  // and force every downstream consumer to re-sort defensively.
   std::sort(preds.begin(), preds.end(),
             [](const Task* a, const Task* b) { return a->id < b->id; });
   preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
+  preds.erase(std::remove(preds.begin(), preds.end(), t), preds.end());
   for (Task* p : preds) {
     p->successors.push_back(t);
     ++t->pending_deps;
   }
   if (checker_) {
-    std::vector<std::pair<const mem::DataHandle*, check::Mode>> acc;
+    std::vector<std::pair<const mem::DataHandle*, Access>> acc;
     acc.reserve(t->desc.accesses.size());
     for (const TaskAccess& a : t->desc.accesses)
-      acc.emplace_back(a.handle, mirror(a.mode));
+      acc.emplace_back(a.handle, a.mode);
     std::vector<std::uint64_t> pred_ids;
     pred_ids.reserve(preds.size());
     for (Task* p : preds) pred_ids.push_back(p->id);
@@ -195,7 +159,6 @@ Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
   }
   if (watchdog_) watchdog_->ensure_armed();
   if (t->pending_deps == 0) on_ready(t);
-  return t;
 }
 
 void Runtime::coherent_async(mem::DataHandle* h,
@@ -362,15 +325,13 @@ void Runtime::on_operands_ready(Task* t) {
                        plat_->perf().kernel_time(
                            t->desc.flops, t->desc.min_dim, t->desc.eff_factor,
                            t->desc.single_precision);
-    int lane = 0;
     auto done = [this, t, e = t->epoch] {
       if (t->epoch != e) return;  // migrated
       on_kernel_done(t);
     };
     XKB_ASSERT_INLINE_CAPTURE(done);
-    auto iv = plat_->launch_kernel(dev, sec, t->desc.flops, t->desc.label,
-                                   std::move(done), &lane);
-    if (checker_) checker_->on_kernel_issue(t->id, dev, lane, iv.start, iv.end);
+    plat_->launch_kernel(dev, sec, t->desc.flops, t->desc.label,
+                         std::move(done), t->id);
   }
   fill_all();
 }
@@ -461,8 +422,7 @@ void Runtime::on_device_failure(int g) {
   if (plat_->num_alive_gpus() <= 1)
     throw fault::FaultError("device-fail of gpu" + std::to_string(g) +
                             ": no surviving GPU to recover onto");
-  plat_->apply_device_failure(g);  // topology blacklist + obs fault mark
-  if (checker_) checker_->on_device_failure(g);
+  plat_->apply_device_failure(g);  // topology blacklist + its report
 
   // Detach g's queued work before replica recovery: the re-planned fetches
   // and replay submissions below must never land on its queues.
@@ -491,8 +451,7 @@ void Runtime::on_device_failure(int g) {
   for (auto& [desc, out] : replays) {
     Task* nt = submit_replay(std::move(desc), out);
     ++replays_;
-    if (checker_) checker_->on_replay(out, nt->id);
-    if (obs::Observability* o = plat_->obs()) o->count_fault("replay");
+    plat_->report_replay(*out, nt->id);
   }
 
   // Migrate in-flight executions: the epoch bump turns their outstanding
@@ -504,8 +463,7 @@ void Runtime::on_device_failure(int g) {
     t->prepared = false;
     t->operands_missing = 0;
     const int nd = pick_alive_device(t);
-    if (checker_) checker_->on_task_remap(t->id, g, nd);
-    if (obs::Observability* o = plat_->obs()) o->count_fault("task_remap");
+    plat_->report_remap(t->id, g, nd);
     ++remaps_;
     t->device = nd;
     devs_[nd].assigned.push_front(t);
@@ -602,7 +560,7 @@ void Runtime::on_stuck(std::uint64_t pending) {
   // on the Observability instance; the bench skeleton retrieves it after
   // the throw unwinds Engine::run.
   if (obs::Observability* o = plat_->obs()) {
-    o->finalize_registry();
+    o->finalize_registry(plat_->trace());
     obs::LedgerMeta lm = o->ledger_meta();  // registered by the skeleton
     if (lm.lib.empty()) lm.lib = "(stalled)";
     const obs::RunLedger snap = obs::build_ledger(
@@ -625,11 +583,8 @@ void Runtime::finalize_checks() {
     const TransferStats& ts = dm_.stats();
     check::StatsView sv;
     sv.h2d = ts.h2d;
-    sv.d2h = ts.d2h;
     sv.d2d = ts.d2d;
     sv.optimistic_waits = ts.optimistic_waits;
-    sv.forced_waits = ts.forced_waits;
-    sv.transfer_aborts = ts.transfer_aborts;
     sv.submitted = submitted_;
     sv.completed = completed_;
     checker_->finalize(sv);

@@ -8,7 +8,7 @@
 //   the scheduler places the task on a device -> the device pulls it into its
 //   prepare window and the DataManager fetches operands (this is where the
 //   paper's heuristics act) -> when all operands are valid the kernel is
-//   submitted to the least-loaded kernel stream -> completion propagates to
+//   submitted to the device's kernel FIFO -> completion propagates to
 //   successors.  Devices that run out of assigned work steal from the most
 //   loaded peer (OwnerComputesScheduler only).
 #pragma once
@@ -89,8 +89,8 @@ class Runtime {
   /// Drain the simulation; returns the virtual completion time (the instant
   /// of the last *observable* event, so silent fault-plan or watchdog ticks
   /// never stretch the measured makespan).  When a checker is attached this
-  /// also runs its end-of-run audit (counter reconciliation, completion
-  /// check, final protocol scan).
+  /// also runs its end-of-run audit (reception ledger, completion check,
+  /// final protocol scan).
   ///
   /// Exactly drain() followed by finalize_checks() -- the one-workload,
   /// one-exit entry point.  Long-running callers (xkb::svc) use the two
@@ -172,6 +172,11 @@ class Runtime {
   /// output: pending readers are data-parked on the regenerated version,
   /// not ordered before it (ordering them first would deadlock).
   Task* submit_replay(TaskDesc desc, mem::DataHandle* out);
+  /// What both submit paths share: create the task record, then (enqueue)
+  /// wire it after its deduplicated `preds`, report the submission to the
+  /// checker, and make it ready when nothing blocks it.
+  Task* new_task(TaskDesc desc);
+  void enqueue(Task* t, std::vector<Task*> preds);
   int pick_alive_device(Task* t);
   [[noreturn]] void on_stuck(std::uint64_t pending);
 

@@ -14,10 +14,11 @@
 #include <vector>
 
 #include "mem/handle.hpp"
+#include "trace/facts.hpp"
 
 namespace xkb::rt {
 
-enum class Access : std::uint8_t { kR, kW, kRW };
+using Access = trace::Access;
 
 struct TaskAccess {
   mem::DataHandle* handle = nullptr;

@@ -10,10 +10,9 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "trace/facts.hpp"
 
 namespace xkb::trace {
-
-enum class OpKind { kHtoD, kDtoH, kPtoP, kKernel };
 
 const char* to_string(OpKind k);
 /// Inverse of to_string; returns false when `s` names no OpKind.

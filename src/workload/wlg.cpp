@@ -15,6 +15,16 @@ namespace xkb::wl {
 
 namespace {
 
+/// The .wlg spelling of an access mode.
+const char* mode_name(rt::Access m) {
+  switch (m) {
+    case rt::Access::kR: return "r";
+    case rt::Access::kW: return "w";
+    case rt::Access::kRW: return "rw";
+  }
+  return "?";
+}
+
 std::string fmt_double(double v) {
   std::ostringstream os;
   os.precision(17);
@@ -89,7 +99,7 @@ std::string write_wlg(const WorkloadGraph& g) {
        << " " << fmt_double(t.eff_factor) << " " << t.place_i << " "
        << t.place_j;
     for (const TaskAccessSpec& a : t.accesses)
-      os << " " << to_string(a.mode) << ":" << a.tile;
+      os << " " << mode_name(a.mode) << ":" << a.tile;
     os << "\n";
   }
   if (!g.coherent.empty()) {
@@ -150,9 +160,9 @@ WorkloadGraph parse_wlg(const std::string& text, const std::string& origin) {
         const std::string mode = acc.substr(0, colon);
         const std::string tile = acc.substr(colon + 1);
         TaskAccessSpec a;
-        if (mode == "r") a.mode = Mode::kR;
-        else if (mode == "w") a.mode = Mode::kW;
-        else if (mode == "rw") a.mode = Mode::kRW;
+        if (mode == "r") a.mode = rt::Access::kR;
+        else if (mode == "w") a.mode = rt::Access::kW;
+        else if (mode == "rw") a.mode = rt::Access::kRW;
         else
           ctx.fail("access", "mode '" + mode + "' is not one of r, w, rw");
         std::size_t pos = 0;

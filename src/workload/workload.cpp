@@ -7,15 +7,6 @@
 
 namespace xkb::wl {
 
-const char* to_string(Mode m) {
-  switch (m) {
-    case Mode::kR: return "r";
-    case Mode::kW: return "w";
-    case Mode::kRW: return "rw";
-  }
-  return "?";
-}
-
 const char* to_string(Generator g) {
   switch (g) {
     case Generator::kTrivial: return "trivial";
@@ -45,7 +36,7 @@ std::size_t WorkloadGraph::edge_count() const {
   std::size_t e = 0;
   for (const TaskSpec& t : tasks)
     for (const TaskAccessSpec& a : t.accesses)
-      if (a.mode != Mode::kW) ++e;
+      if (a.mode != rt::Access::kW) ++e;
   return e;
 }
 
@@ -55,7 +46,7 @@ std::vector<std::uint32_t> WorkloadGraph::input_tiles() const {
     for (const TaskAccessSpec& a : t.accesses) {
       if (!seen[a.tile]) {
         seen[a.tile] = 1;
-        if (a.mode != Mode::kW) input[a.tile] = 1;
+        if (a.mode != rt::Access::kW) input[a.tile] = 1;
       }
     }
   std::vector<std::uint32_t> out;

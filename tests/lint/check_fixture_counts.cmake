@@ -10,7 +10,7 @@ set(expectations
   "address_ordering_fire,xkb-address-ordering,5"
   "wallclock_fire,xkb-wallclock-in-sim,4"
   "hot_path_alloc_fire,xkb-hot-path-alloc,4"
-  "silent_lane_fire,xkb-silent-lane,3"
+  "silent_lane_fire,xkb-silent-lane,4"
   "suppression_fire,xkb-suppression-justification,2"
 )
 

@@ -3,8 +3,9 @@
 // A function annotated XKB_SILENT runs on the engine's silent event lane
 // (fault triggers, watchdog ticks).  Its contract: when the fault it
 // implements is a no-op, the observable event stream is bit-identical to
-// a run without it.  Scheduling observable events, bumping metrics, or
-// emitting trace records from such a function breaks that guarantee.
+// a run without it.  Scheduling observable events, bumping metrics,
+// emitting trace records or reporting a fact to the platform's
+// instrumentation stream from such a function breaks that guarantee.
 // Clean twin: silent_lane_clean.cpp.
 #include <cstdint>
 #include <string>
@@ -42,12 +43,19 @@ struct Trace {
 };
 }  // namespace xkb::trace
 
+namespace xkb::rt {
+struct Platform {
+  void report_retry() {}
+};
+}  // namespace xkb::rt
+
 namespace fixture {
 
 struct FaultTrigger {
   xkb::sim::Engine* eng_;
   xkb::obs::Metrics* metrics_;
   xkb::trace::Trace* trace_;
+  xkb::rt::Platform* plat_;
 
   // Observable-lane scheduling from the silent lane.
   XKB_SILENT void fire_reschedule(double t) {
@@ -61,6 +69,9 @@ struct FaultTrigger {
   XKB_SILENT void fire_trace(double t) {
     trace_->add("fault.window", t, t + 1.0);
   }
+
+  // An instrumentation report from the silent lane.
+  XKB_SILENT void fire_report() { plat_->report_retry(); }
 };
 
 }  // namespace fixture

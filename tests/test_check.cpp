@@ -179,5 +179,57 @@ TEST(Check, CorruptedValidityBitIsReportedAsCoherence) {
       << f.runtime.checker()->report();
 }
 
+// The invariants between facts, fed reports a correct runtime never makes.
+struct DirectChecker {
+  DirectChecker() : reg(8), h(reg.intern(bufB, 4, 4, 4, sizeof(double))) {}
+  check::Checker make(bool optimistic_d2d) const {
+    check::CheckConfig cfg;
+    cfg.enabled = true;
+    return check::Checker(cfg, 8, SourcePolicy::kTopologyAware,
+                          optimistic_d2d);
+  }
+  static bool has(const check::Checker& c, check::ViolationKind k,
+                  const std::string& text) {
+    for (const check::Violation& v : c.violations())
+      if (v.kind == k && v.message.find(text) != std::string::npos)
+        return true;
+    return false;
+  }
+  mem::Registry reg;
+  mem::DataHandle* h;
+};
+
+TEST(Check, ReceptionThatNeitherArrivesNorAbortsIsReported) {
+  DirectChecker d;
+  check::Checker c = d.make(true);
+  check::StatsView st;
+  st.h2d = 1;  // one reception issued, no arrival, no abort
+  c.finalize(st);
+  EXPECT_TRUE(DirectChecker::has(c, check::ViolationKind::kStats,
+                                 "transfer ledger does not balance"))
+      << c.report();
+}
+
+TEST(Check, OptimisticWaitUnderAnAblationIsReported) {
+  DirectChecker d;
+  check::Checker c = d.make(/*optimistic_d2d=*/false);
+  check::StatsView st;
+  st.optimistic_waits = 1;
+  c.finalize(st);
+  EXPECT_TRUE(DirectChecker::has(c, check::ViolationKind::kStats,
+                                 "under an ablation configuration"))
+      << c.report();
+}
+
+TEST(Check, AbortPastTheRetryCapIsReported) {
+  DirectChecker d;
+  check::Checker c = d.make(true);
+  c.on_transfer_abort(trace::OpKind::kHtoD, d.h, -1, 0, /*attempts=*/4,
+                      /*cap=*/3);
+  EXPECT_TRUE(DirectChecker::has(c, check::ViolationKind::kCoherence,
+                                 "unbounded retry"))
+      << c.report();
+}
+
 }  // namespace
 }  // namespace xkb::rt

@@ -27,7 +27,9 @@
 #include "util/json.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/scheduler.hpp"
+#include "tdl/presets.hpp"
 #include "trace/export.hpp"
+#include "workload/bridge.hpp"
 
 namespace xkb::obs {
 namespace {
@@ -261,9 +263,41 @@ struct ObservedRun {
     plan.coherent();
     runtime.run();
     stats = runtime.data_manager().stats();
-    o.finalize_registry();
+    o.finalize_registry(plat.trace());
   }
 };
+
+// The registry's op-class numbers are the op trace's, exactly: counts,
+// per-class time and bytes overall and per GPU -- and its wait counts are
+// the decision list's.
+void expect_registry_matches_trace(const Observability& o,
+                                   const trace::Trace& tr) {
+  const MetricsRegistry& m = o.metrics();
+  std::map<trace::OpKind, double> count;
+  for (const trace::Record& rec : tr.records()) ++count[rec.kind];
+  EXPECT_EQ(count[trace::OpKind::kHtoD], m.counter_value("transfers.h2d"));
+  EXPECT_EQ(count[trace::OpKind::kPtoP], m.counter_value("transfers.d2d"));
+  EXPECT_EQ(count[trace::OpKind::kDtoH], m.counter_value("transfers.d2h"));
+  EXPECT_EQ(static_cast<double>(tr.bytes(trace::OpKind::kHtoD)),
+            m.counter_value("bytes.htod"));
+  EXPECT_EQ(static_cast<double>(tr.bytes(trace::OpKind::kPtoP)),
+            m.counter_value("bytes.ptop"));
+  EXPECT_EQ(static_cast<double>(tr.bytes(trace::OpKind::kDtoH)),
+            m.counter_value("bytes.dtoh"));
+  for (int g = -1; g < o.num_gpus(); ++g) {
+    const trace::Breakdown b = tr.breakdown(g);
+    const std::string p = g < 0 ? "" : "gpu" + std::to_string(g) + ".";
+    EXPECT_EQ(b.kernel, m.counter_value(p + "time.kernel")) << p;
+    EXPECT_EQ(b.htod, m.counter_value(p + "time.htod")) << p;
+    EXPECT_EQ(b.dtoh, m.counter_value(p + "time.dtoh")) << p;
+    EXPECT_EQ(b.ptop, m.counter_value(p + "time.ptop")) << p;
+  }
+  double optimistic = 0, forced = 0;
+  for (const Decision& d : o.decisions())
+    if (d.pick == trace::SourceKind::kWaitDevice) ++(d.forced ? forced : optimistic);
+  EXPECT_EQ(optimistic, m.counter_value("waits.optimistic"));
+  EXPECT_EQ(forced, m.counter_value("waits.forced"));
+}
 
 TEST(ObservedRun, LinkProbesMatchTraceOccupancy) {
   ObservedRun r(Blas3::kGemm, 4096, 512);
@@ -329,24 +363,47 @@ TEST(ObservedRun, FlowsMatchWaitCountsAndTotalsMatchTrace) {
     EXPECT_GE(f.dst_iv.start, f.src_iv.end - 1e-12);  // chained after rx
     EXPECT_NE(f.src_dev, f.dst_dev);
   }
-  // The observed event stream reconciles with the runtime's own counters
-  // and the trace breakdown.
-  Observability::ReconcileView v;
-  v.h2d = r.stats.h2d;
-  v.d2h = r.stats.d2h;
-  v.d2d = r.stats.d2d;
-  v.optimistic_waits = r.stats.optimistic_waits;
-  v.forced_waits = r.stats.forced_waits;
-  const trace::Breakdown b = r.plat.trace().breakdown();
-  v.htod = b.htod;
-  v.dtoh = b.dtoh;
-  v.ptop = b.ptop;
-  v.kernel = b.kernel;
-  v.htod_bytes = r.plat.trace().bytes(trace::OpKind::kHtoD);
-  v.dtoh_bytes = r.plat.trace().bytes(trace::OpKind::kDtoH);
-  v.ptop_bytes = r.plat.trace().bytes(trace::OpKind::kPtoP);
-  const std::vector<std::string> bad = r.o.reconcile(v);
-  EXPECT_TRUE(bad.empty()) << bad.front();
+  expect_registry_matches_trace(r.o, r.plat.trace());
+  // Nothing was cleared: the run's own counters agree too.
+  const MetricsRegistry& m = r.o.metrics();
+  EXPECT_EQ(static_cast<double>(r.stats.h2d), m.counter_value("transfers.h2d"));
+  EXPECT_EQ(static_cast<double>(r.stats.d2d), m.counter_value("transfers.d2d"));
+  EXPECT_EQ(static_cast<double>(r.stats.d2h), m.counter_value("transfers.d2h"));
+  EXPECT_EQ(static_cast<double>(r.stats.optimistic_waits),
+            m.counter_value("waits.optimistic"));
+  EXPECT_EQ(static_cast<double>(r.stats.forced_waits),
+            m.counter_value("waits.forced"));
+}
+
+// Each flow names the reception its forwarded copy chained off, keyed by
+// (tile, device).  Packing that pair into one word aliased (tile 4, gpu256)
+// with (tile 5, gpu0), so from 256 devices up a flow could name another
+// tile's reception.  A 17x16 fat tree (272 devices) exposes it.
+TEST(ObservedRun, FlowsChainAfterTheirReceptionOnA272DeviceFatTree) {
+  tdl::FatTreeSpec spec;
+  spec.nodes = 17;
+  spec.gpus_per_node = 16;
+  rt::Platform plat(topo::Topology::from_machine(tdl::fat_tree_machine(spec)),
+                    rt::PerfModel{}, {});
+  ASSERT_EQ(272, plat.num_gpus());
+  Observability o(plat.num_gpus());
+  plat.set_obs(&o);
+  rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>());
+  const wl::WorkloadGraph g =
+      wl::build(wl::WorkloadSpec::parse("stencil_1d:width=544,depth=8"));
+  wl::BridgeOptions bopt;
+  bopt.home = [n = plat.num_gpus()](std::size_t i, std::size_t) {
+    return static_cast<int>(i % static_cast<std::size_t>(n));
+  };
+  wl::Bridge bridge(runtime, g, std::move(bopt));
+  bridge.emit();
+  bridge.coherent();
+  runtime.run();
+  ASSERT_GT(o.flows().size(), 0u);
+  std::size_t early = 0;
+  for (const Flow& f : o.flows())
+    if (f.dst_iv.start < f.src_iv.end - 1e-12) ++early;
+  EXPECT_EQ(0u, early) << "of " << o.flows().size() << " flows";
 }
 
 TEST(ObservedRun, DecisionsCoverEveryMissAndRegistryNamesExist) {
@@ -354,7 +411,8 @@ TEST(ObservedRun, DecisionsCoverEveryMissAndRegistryNamesExist) {
   EXPECT_GT(r.o.decisions().size(), 0u);
   for (const Decision& d : r.o.decisions()) {
     EXPECT_GE(d.dst, 0);
-    if (d.pick == Pick::kDevice || d.pick == Pick::kWaitDevice) {
+    if (d.pick == trace::SourceKind::kDevice ||
+        d.pick == trace::SourceKind::kWaitDevice) {
       EXPECT_GE(d.picked_dev, 0);
     }
   }
@@ -551,25 +609,31 @@ TEST(Export, HostileLabelsRoundTripThroughCsv) {
 // ----------------------------------------------------- bench-config plumbing
 
 TEST(BenchObs, ModelRunPopulatesMetricsJsonAndReconcilesUnderCheck) {
-  baselines::BenchConfig cfg;
-  cfg.routine = Blas3::kGemm;
-  cfg.n = 4096;
-  cfg.tile = 512;
-  cfg.check.enabled = true;  // reconciliation becomes a checker violation
-  cfg.obs.enabled = true;
-  auto model = baselines::make_xkblas(rt::HeuristicConfig::xkblas());
-  const baselines::BenchResult r = model->run(cfg);
-  ASSERT_FALSE(r.failed);
-  EXPECT_TRUE(r.check_ok) << r.check_report;
-  ASSERT_TRUE(r.obs);
-  ASSERT_FALSE(r.metrics_json.empty());
-  EXPECT_NE(std::string::npos, r.metrics_json.find("\"critical_path\""));
-  EXPECT_NE(std::string::npos, r.metrics_json.find("\"metrics\""));
-  EXPECT_NE(std::string::npos, r.metrics_json.find("\"links\""));
-  // Registry totals agree with the result's trace-derived breakdown.
-  EXPECT_NEAR(r.breakdown.kernel,
-              r.obs->metrics().counter_value("time.kernel"),
-              1e-9 * (1.0 + r.breakdown.kernel));
+  // Data on device clears the trace and obs after the distribution phase;
+  // the registry must still describe exactly the traced (measured) window.
+  for (const auto& [routine, dod] :
+       {std::pair{Blas3::kGemm, false}, std::pair{Blas3::kSyr2k, true}}) {
+    baselines::BenchConfig cfg;
+    cfg.routine = routine;
+    cfg.n = 4096;
+    cfg.tile = 512;
+    cfg.data_on_device = dod;
+    cfg.check.enabled = true;
+    cfg.obs.enabled = true;
+    auto model = baselines::make_xkblas(rt::HeuristicConfig::xkblas());
+    const baselines::BenchResult r = model->run(cfg);
+    ASSERT_FALSE(r.failed);
+    EXPECT_TRUE(r.check_ok) << r.check_report;
+    ASSERT_TRUE(r.obs);
+    ASSERT_TRUE(r.trace);
+    ASSERT_FALSE(r.metrics_json.empty());
+    EXPECT_NE(std::string::npos, r.metrics_json.find("\"critical_path\""));
+    EXPECT_NE(std::string::npos, r.metrics_json.find("\"metrics\""));
+    EXPECT_NE(std::string::npos, r.metrics_json.find("\"links\""));
+    expect_registry_matches_trace(*r.obs, *r.trace);
+    EXPECT_EQ(r.breakdown.kernel,
+              r.obs->metrics().counter_value("time.kernel"));
+  }
 }
 
 TEST(BenchObs, DisabledObsLeavesResultEmpty) {

@@ -42,8 +42,8 @@ TEST(Generators, Stencil1dReadsTheThreePointHalo) {
   // Task (t=1, p=2) reads outputs 1, 2, 3 of layer 0 and writes its own.
   const TaskSpec& t = g.tasks[5 * 1 + 2];
   ASSERT_EQ(t.accesses.size(), 4u);
-  EXPECT_EQ(t.accesses[0].mode, Mode::kR);
-  EXPECT_EQ(t.accesses[3].mode, Mode::kW);
+  EXPECT_EQ(t.accesses[0].mode, rt::Access::kR);
+  EXPECT_EQ(t.accesses[3].mode, rt::Access::kW);
   // Boundary points lose one neighbour.
   EXPECT_EQ(g.tasks[5 * 1 + 0].accesses.size(), 3u);
   EXPECT_EQ(g.tasks[5 * 1 + 4].accesses.size(), 3u);
@@ -87,7 +87,7 @@ TEST(Generators, RandomIsSeededAndNeverDisconnected) {
   for (const TaskSpec& t : a.tasks) {
     std::size_t reads = 0;
     for (const TaskAccessSpec& acc : t.accesses)
-      if (acc.mode == Mode::kR) ++reads;
+      if (acc.mode == rt::Access::kR) ++reads;
     EXPECT_GE(reads, 1u) << "task '" << t.label << "' has no incoming edge";
   }
 }

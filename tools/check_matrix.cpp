@@ -6,10 +6,9 @@
 //
 //   check_matrix                 full matrix at the default size
 //   check_matrix --n 16384       bigger tiles-per-matrix sweep
-//   check_matrix --obs           also enable xkb::obs on every run, which
-//                                makes the checker reconcile the observed
-//                                event stream against TransferStats and the
-//                                trace breakdown
+//   check_matrix --obs           also attach xkb::obs to every run: runs
+//                                observed through the shared fan-out must
+//                                stay checker-clean
 //   check_matrix --overhead      also measure checked-vs-unchecked wall
 //                                clock on a GEMM workload (exit 4 beyond
 //                                2x), and obs-on-vs-off (exit 4 beyond
@@ -84,7 +83,7 @@ int main(int argc, char** argv) {
         cfg.tile = tile;
         cfg.data_on_device = dod;
         cfg.check.enabled = true;
-        cfg.obs.enabled = obs;  // adds the obs-vs-stats reconciliation
+        cfg.obs.enabled = obs;
         if (!model->supports(routine)) {
           ++skipped;
           continue;

@@ -59,6 +59,23 @@ void SilentLaneCheck::registerMatchers(MatchFinder* Finder) {
                             ofClass(hasName("::xkb::trace::Trace")))))
           .bind("trace"),
       this);
+  // rt::Platform's instrumentation stream: each call reports a fact to the
+  // op trace, obs and the checker.
+  Finder->addMatcher(
+      cxxMemberCallExpr(
+          InSilentFunction,
+          callee(cxxMethodDecl(
+              hasAnyName("transfer", "launch_kernel", "report_source",
+                         "report_cache_ref", "report_evict", "report_abort",
+                         "report_fault", "report_retry",
+                         "report_waiter_replan", "report_oom_deferral",
+                         "report_arrival", "report_written",
+                         "report_host_write", "report_flush_done",
+                         "report_replica_lost", "report_promote",
+                         "report_replay", "report_remap"),
+              ofClass(hasName("::xkb::rt::Platform")))))
+          .bind("report"),
+      this);
 }
 
 void SilentLaneCheck::check(const MatchFinder::MatchResult& Result) {
@@ -71,6 +88,7 @@ void SilentLaneCheck::check(const MatchFinder::MatchResult& Result) {
       {"observer", "engine-observer mutation"},
       {"metrics", "metrics mutation"},
       {"trace", "trace record emission"},
+      {"report", "instrumentation report"},
   };
   for (const Row& R : kRows) {
     if (const auto* Call = Result.Nodes.getNodeAs<CXXMemberCallExpr>(R.Tag)) {

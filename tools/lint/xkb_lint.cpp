@@ -612,6 +612,26 @@ void check_silent(const FileText& ft, const FlatCode& f,
       {"series(", false, "metrics mutation"},
       {"trace_->add", false, "trace record emission"},
       {"trace_.add", false, "trace record emission"},
+      // rt::Platform's instrumentation stream: each call reports a fact to
+      // the op trace, obs and the checker.
+      {"transfer", true, "instrumentation report"},
+      {"launch_kernel", true, "instrumentation report"},
+      {"report_source", true, "instrumentation report"},
+      {"report_cache_ref", true, "instrumentation report"},
+      {"report_evict", true, "instrumentation report"},
+      {"report_abort", true, "instrumentation report"},
+      {"report_fault", true, "instrumentation report"},
+      {"report_retry", true, "instrumentation report"},
+      {"report_waiter_replan", true, "instrumentation report"},
+      {"report_oom_deferral", true, "instrumentation report"},
+      {"report_arrival", true, "instrumentation report"},
+      {"report_written", true, "instrumentation report"},
+      {"report_host_write", true, "instrumentation report"},
+      {"report_flush_done", true, "instrumentation report"},
+      {"report_replica_lost", true, "instrumentation report"},
+      {"report_promote", true, "instrumentation report"},
+      {"report_replay", true, "instrumentation report"},
+      {"report_remap", true, "instrumentation report"},
   };
   for (const Span& sp : annotated_bodies(ft, f, "XKB_SILENT")) {
     const std::string body = f.text.substr(sp.begin, sp.end - sp.begin);

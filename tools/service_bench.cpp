@@ -208,7 +208,6 @@ RunOut run_soak(const Cfg& cfg, const svc::ArrivalTrace& trace,
   rt::PerfModel perf;
   rt::PlatformOptions popt;
   popt.functional = false;
-  popt.kernel_streams = 2;
   popt.device_capacity = 32ull << 30;
   rt::Platform plat(make_topo(cfg.topo), perf, popt);
 
@@ -301,7 +300,7 @@ RunOut run_soak(const Cfg& cfg, const svc::ArrivalTrace& trace,
   }
   out.util_mean = util_sum / static_cast<double>(plat.num_gpus());
 
-  o->finalize_registry();
+  o->finalize_registry(plat.trace());
   out.ledger_json = obs::ledger_json(
       obs::build_ledger(plat.trace(), plat.topology(), o.get(),
                         out.event_hash, lm));
