@@ -8,6 +8,11 @@ namespace xkb::check {
 
 namespace {
 
+using trace::Access;
+using trace::OpKind;
+using trace::SourceKind;
+using trace::SourcePolicy;
+
 // Event tags folded into the FNV stream hash (stable across builds).
 enum : std::uint64_t {
   kTagSubmit = 0x51,

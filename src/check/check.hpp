@@ -44,11 +44,6 @@
 
 namespace xkb::check {
 
-using trace::Access;
-using trace::OpKind;
-using trace::SourceKind;
-using trace::SourcePolicy;
-
 /// Test-only fault injection, honoured by the runtime only when a checker
 /// is attached.  Used by the checker's own mutant tests: a checker that
 /// cannot fail its mutants proves nothing.
@@ -98,16 +93,18 @@ struct StatsView {
 
 class Checker {
  public:
-  Checker(const CheckConfig& cfg, int num_gpus, SourcePolicy policy,
+  Checker(const CheckConfig& cfg, int num_gpus, trace::SourcePolicy policy,
           bool optimistic_d2d);
 
   const CheckConfig& config() const { return cfg_; }
   const Faults& faults() const { return cfg_.faults; }
 
-  // --- task-graph / execution events (fed by rt::Runtime) ---
+  // --- task-graph / execution events (fed by rt::Runtime; kernel issue
+  // reported through rt::Platform) ---
   void on_submit(
       std::uint64_t task, std::string label,
-      const std::vector<std::pair<const mem::DataHandle*, Access>>& accesses,
+      const std::vector<std::pair<const mem::DataHandle*, trace::Access>>&
+          accesses,
       std::vector<std::uint64_t> preds);
   /// Kernel handed to `dev`'s kernel FIFO (FIFO order == issue order).
   /// Performs the read-side race + staleness checks.
@@ -119,13 +116,13 @@ class Checker {
   /// Task fully completed (successors about to be notified).
   void on_task_complete(std::uint64_t task, sim::Time t);
 
-  // --- replica-protocol events (fed by rt::DataManager) ---
-  void on_source_choice(const mem::DataHandle* h, int dst, SourceKind kind,
-                        int src, bool forced);
+  // --- replica-protocol events (reported through rt::Platform) ---
+  void on_source_choice(const mem::DataHandle* h, int dst,
+                        trace::SourceKind kind, int src, bool forced);
   /// A copy of `h` was issued: a reception (kHtoD from the host, kPtoP
   /// from `src`) into `dst`, or a host flush (kDtoH) of `h`'s current
   /// version from `src`.
-  void on_transfer_issue(OpKind k, const mem::DataHandle* h, int src,
+  void on_transfer_issue(trace::OpKind k, const mem::DataHandle* h, int src,
                          int dst, sim::Time start, sim::Time end);
   /// A replica reception completed on `dev` (kInFlight -> kValid).
   void on_arrival(const mem::DataHandle* h, int dev, sim::Time t);
@@ -136,12 +133,12 @@ class Checker {
   /// A resident replica was evicted from `dev` (already released).
   void on_evict(const mem::DataHandle* h, int dev, bool was_dirty);
 
-  // --- fault-recovery events (fed by rt::DataManager / rt::Runtime) ---
+  // --- fault-recovery events (reported through rt::Platform) ---
   /// An issued transfer aborted before completion (injected failure, or
   /// cancelled because an endpoint died).  `dst` is -1 for D2H flushes.
   /// `attempts`/`cap` drive the bounded-retries invariant (0/0 for aborts
   /// that are not retries of the same reception, e.g. device-loss purges).
-  void on_transfer_abort(OpKind k, const mem::DataHandle* h, int src,
+  void on_transfer_abort(trace::OpKind k, const mem::DataHandle* h, int src,
                          int dst, std::size_t attempts, std::size_t cap);
   /// GPU `dev` was blacklisted.  From here on, no source choice, D2D issue
   /// or kernel may touch it.
@@ -179,7 +176,7 @@ class Checker {
  private:
   struct AccessRec {
     const mem::DataHandle* handle = nullptr;
-    Access mode = Access::kR;
+    trace::Access mode = trace::Access::kR;
   };
   struct TaskInfo {
     std::string label;
@@ -254,7 +251,7 @@ class Checker {
 
   CheckConfig cfg_;
   int gpus_;
-  SourcePolicy policy_;
+  trace::SourcePolicy policy_;
   bool optimistic_;
 
   std::unordered_map<std::uint64_t, TaskInfo> tasks_;

@@ -7,8 +7,10 @@
 
 namespace xkb::obs {
 
+namespace {
 using trace::OpKind;
 using trace::SourceKind;
+}  // namespace
 
 Observability::Observability(int num_gpus)
     : gpus_(num_gpus),

@@ -127,6 +127,9 @@ class Platform {
   bool device_failed(int g) const { return topo_.device_failed(g); }
   int num_alive_gpus() const { return topo_.num_alive_gpus(); }
 
+  // Raw copies of `bytes` with no tile behind them (link benchmarks): each
+  // is recorded in the op trace only.  Tile fetches and flushes go through
+  // transfer(), which reports them.
   /// Host -> device copy over the GPU's (possibly shared) host link.
   sim::Interval copy_h2d(int dev, std::size_t bytes, sim::Callback done);
   /// Device -> host copy.
