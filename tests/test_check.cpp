@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "baselines/library_model.hpp"
@@ -127,6 +129,12 @@ TEST(Check, SkippedDependenceEdgeIsReportedAsRace) {
   EXPECT_FALSE(f.runtime.checker()->ok());
   EXPECT_TRUE(f.has_kind(check::ViolationKind::kRace))
       << f.runtime.checker()->report();
+  // Both kernels share gpu0's FIFO, so the reader is stamped before the
+  // writer finishes: the race surfaces on the write side.
+  EXPECT_EQ(f.runtime.checker()->report(),
+            "xkb::check found 1 violation(s):\n"
+            "  [race] race: write of tile 1 by task 1 't' is not ordered "
+            "after read by task 2 't'\n");
 }
 
 TEST(Check, SkippedWriteWriteEdgeIsReportedAsRace) {
@@ -182,9 +190,10 @@ TEST(Check, CorruptedValidityBitIsReportedAsCoherence) {
 // The invariants between facts, fed reports a correct runtime never makes.
 struct DirectChecker {
   DirectChecker() : reg(8), h(reg.intern(bufB, 4, 4, 4, sizeof(double))) {}
-  check::Checker make(bool optimistic_d2d) const {
+  check::Checker make(bool optimistic_d2d, bool coherence = true) const {
     check::CheckConfig cfg;
     cfg.enabled = true;
+    cfg.coherence = coherence;
     return check::Checker(cfg, 8, SourcePolicy::kTopologyAware,
                           optimistic_d2d);
   }
@@ -229,6 +238,166 @@ TEST(Check, AbortPastTheRetryCapIsReported) {
   EXPECT_TRUE(DirectChecker::has(c, check::ViolationKind::kCoherence,
                                  "unbounded retry"))
       << c.report();
+}
+
+// Race verdicts fed straight to the checker, one tile and one kernel per
+// task.  Coherence is off: these reports bypass the DataManager, so the
+// replica states they leave behind would trip the protocol checks.
+struct RaceScript {
+  void submit(std::uint64_t id, const char* label, Access mode,
+              std::vector<std::uint64_t> preds = {}) {
+    c.on_submit(id, label, {{d.h, mode}}, std::move(preds));
+  }
+  /// The task's kernel runs on `dev` over [t, t + 1], then it completes.
+  void run(std::uint64_t id, int dev, double t) {
+    c.on_kernel_issue(id, dev, t, t + 1);
+    c.on_task_finish(id, dev, t + 1);
+    c.on_task_complete(id, t + 1);
+  }
+  std::vector<std::string> races() const {
+    std::vector<std::string> out;
+    for (const check::Violation& v : c.violations()) {
+      EXPECT_EQ(v.kind, check::ViolationKind::kRace) << v.message;
+      out.push_back(v.message);
+    }
+    return out;
+  }
+  std::string write_after_read(std::uint64_t writer, const char* wlabel,
+                               std::uint64_t reader,
+                               const char* rlabel) const {
+    return "race: write of tile " + std::to_string(d.h->id) + " by task " +
+           std::to_string(writer) + " '" + wlabel +
+           "' is not ordered after read by task " + std::to_string(reader) +
+           " '" + rlabel + "'";
+  }
+
+  DirectChecker d;
+  check::Checker c = d.make(/*optimistic_d2d=*/true, /*coherence=*/false);
+};
+
+TEST(Check, WriteNotOrderedAfterAReadNamesTheReader) {
+  RaceScript s;
+  s.submit(1, "reader", Access::kR);
+  s.submit(2, "writer", Access::kW);  // no edge to the reader
+  s.run(1, 0, 0.0);
+  s.run(2, 1, 2.0);
+  EXPECT_EQ(s.races(), std::vector<std::string>{
+                           s.write_after_read(2, "writer", 1, "reader")});
+}
+
+TEST(Check, ReadNotOrderedAfterAWritePrintsBothClocks) {
+  RaceScript s;
+  s.submit(1, "writer", Access::kW);
+  s.submit(2, "reader", Access::kR);  // no edge to the writer
+  s.run(1, 0, 0.0);
+  s.run(2, 3, 2.0);
+  // Lane 0 is the host, lane 1 + g is gpu g's kernel FIFO.
+  EXPECT_EQ(s.races(),
+            std::vector<std::string>{
+                "race: read of tile " + std::to_string(s.d.h->id) +
+                " by task 2 'reader' is not ordered after write by task 1 "
+                "'writer' (reader clock [0,0,0,0,1], writer clock [0,1])"});
+}
+
+TEST(Check, WriterOrderedAfterOneOfTwoReadersNamesTheOther) {
+  RaceScript s;
+  s.submit(1, "reader0", Access::kR);
+  s.submit(2, "reader1", Access::kR);
+  s.submit(3, "writer", Access::kW, {1});
+  s.run(1, 0, 0.0);
+  s.run(2, 1, 0.0);
+  s.run(3, 2, 2.0);
+  EXPECT_EQ(s.races(), std::vector<std::string>{
+                           s.write_after_read(3, "writer", 2, "reader1")});
+}
+
+TEST(Check, WriterOrderedAfterBothReadersIsClean) {
+  RaceScript s;
+  s.submit(1, "reader0", Access::kR);
+  s.submit(2, "reader1", Access::kR);
+  s.submit(3, "writer", Access::kW, {1, 2});
+  s.run(1, 0, 0.0);
+  s.run(2, 1, 0.0);
+  s.run(3, 2, 2.0);
+  EXPECT_TRUE(s.races().empty()) << s.c.report();
+  EXPECT_TRUE(s.c.ok());
+}
+
+// The dense clock the sparse one must be indistinguishable from.
+struct DenseClock {
+  std::vector<std::uint64_t> c;
+  std::uint64_t at(std::size_t l) const { return l < c.size() ? c[l] : 0; }
+  void tick(std::size_t l) {
+    if (l >= c.size()) c.resize(l + 1, 0);
+    ++c[l];
+  }
+  void join(const DenseClock& o) {
+    if (o.c.size() > c.size()) c.resize(o.c.size(), 0);
+    for (std::size_t i = 0; i < o.c.size(); ++i) c[i] = std::max(c[i], o.c[i]);
+  }
+  bool leq(const DenseClock& o) const {
+    for (std::size_t i = 0; i < c.size(); ++i)
+      if (c[i] > o.at(i)) return false;
+    return true;
+  }
+  std::string to_string() const {
+    std::string s = "[";
+    for (std::size_t i = 0; i < c.size(); ++i)
+      s += (i ? "," : "") + std::to_string(c[i]);
+    return s + "]";
+  }
+};
+
+TEST(VectorClock, MatchesADenseReference) {
+  std::mt19937_64 rng(20090615);
+  constexpr std::size_t kLanes = 2049;  // 1 + 2 x 1024 devices
+  constexpr std::size_t kClocks = 6;
+  std::vector<check::VectorClock> sparse(kClocks);
+  std::vector<DenseClock> dense(kClocks);
+  // Mostly a handful of shared lanes so clocks overlap and order each
+  // other; now and then any lane, up to the last one.
+  auto lane = [&rng] {
+    return rng() % 4 == 0 ? static_cast<std::size_t>(rng() % kLanes)
+                          : static_cast<std::size_t>(rng() % 8 * 292);
+  };
+  std::size_t ordered = 0, unordered = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::size_t a = rng() % kClocks, b = rng() % kClocks;
+    switch (rng() % 6) {
+      case 0:
+      case 1: {
+        const std::size_t l = lane();
+        sparse[a].tick(l);
+        dense[a].tick(l);
+        break;
+      }
+      case 2:
+        sparse[a].join(sparse[b]);
+        dense[a].join(dense[b]);
+        break;
+      case 3: {
+        const bool leq = dense[a].leq(dense[b]);
+        ASSERT_EQ(sparse[a].leq(sparse[b]), leq) << "step " << step;
+        ++(leq ? ordered : unordered);
+        break;
+      }
+      case 4: {
+        const std::size_t l = lane();
+        ASSERT_EQ(sparse[a].at(l), dense[a].at(l)) << "step " << step;
+        break;
+      }
+      case 5:
+        ASSERT_EQ(sparse[a].to_string(), dense[a].to_string())
+            << "step " << step;
+        if (rng() % 16 == 0) {
+          sparse[a] = check::VectorClock{};
+          dense[a] = DenseClock{};
+        }
+        break;
+    }
+  }
+  EXPECT_GT(ordered, 100u);
+  EXPECT_GT(unordered, 100u);
 }
 
 }  // namespace

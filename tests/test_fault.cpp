@@ -488,6 +488,46 @@ TEST(DeviceFailure, CleanReplicaPromotionKeepsSurvivorAuthoritative) {
   EXPECT_TRUE(f.runtime.checker()->ok()) << f.runtime.checker()->report();
 }
 
+// A writer killed mid-kernel is stamped twice: once on the dead device and
+// once after the remap.  The second stamp must still join the clocks of the
+// readers it is ordered after (and its submit-time snapshot), so both
+// readers' records stay ordered before the write.  The kill instants sweep
+// the writer's kernel on gpu1 as a fault-free probe run places it.
+TEST(DeviceFailure, RemappedWriterStaysOrderedAfterItsReaders) {
+  auto submit = [](FaultFixture& f) {
+    mem::DataHandle* a = f.tile(bufA);
+    f.runtime.submit(work(a, Access::kR, 2, "read2"));
+    f.runtime.submit(work(a, Access::kR, 3, "read3"));
+    f.runtime.submit(work(a, Access::kW, 1, "write"));
+  };
+  sim::Time start = -1, end = -1;
+  {
+    FaultFixture probe;
+    submit(probe);
+    probe.runtime.run();
+    ASSERT_TRUE(probe.runtime.checker()->ok())
+        << probe.runtime.checker()->report();
+    for (const trace::Record& r : probe.plat.trace().records())
+      if (r.kind == trace::OpKind::kKernel && r.device == 1) {
+        start = r.start;
+        end = r.end;
+      }
+  }
+  ASSERT_LT(start, end) << "no writer kernel on gpu1";
+  for (int i = 1; i < 16; ++i) {
+    const sim::Time kill = start + (end - start) * i / 16.0;
+    FaultFixture f;
+    submit(f);
+    f.plat.engine().schedule_silent_at(
+        kill, [&f] { f.runtime.on_device_failure(1); });
+    f.runtime.run();
+    EXPECT_EQ(f.runtime.tasks_completed(), 3u) << "kill at " << kill;
+    EXPECT_EQ(f.runtime.task_remaps(), 1u) << "kill at " << kill;
+    EXPECT_TRUE(f.runtime.checker()->ok())
+        << "kill at " << kill << "\n" << f.runtime.checker()->report();
+  }
+}
+
 // End-to-end acceptance shape: an early device failure on a data-on-host
 // GEMM (hundreds of chained optimistic receptions) re-plans every waiter
 // whose source died and still completes with zero violations.
