@@ -23,6 +23,16 @@
 //     event stream is exposed so two runs of the same configuration can be
 //     asserted bit-identical.
 //
+// State is sized by what a run touches, never by the device count: a tile's
+// shadow keeps one record per device that ever received or wrote it
+// (created on first touch, ascending by device like mem::ReplicaMap), and
+// vector clocks keep only their non-zero lanes.  Each read and write is
+// remembered as the FastTrack epoch of its stamp -- (lane, clock) -- which
+// decides happens-before exactly (vector_clock.hpp).  Clocks are freed once
+// nothing can read them: a reception's when it arrives, aborts or is lost;
+// a task's submit snapshot when it completes; a task's own clock when it
+// and every successor have completed.
+//
 // The checker depends only on `mem`, `sim` and the shared vocabulary of
 // trace/facts.hpp; rt::Platform's fan-out feeds it every fact through the
 // hooks below.  It is always compiled and costs one null-pointer test per
@@ -174,48 +184,78 @@ class Checker {
   std::string report() const;
 
  private:
+  /// Version of a location that holds no copy.
+  static constexpr std::uint64_t kNoVersion = ~0ull;
+
+  struct Shadow;
   struct AccessRec {
     const mem::DataHandle* handle = nullptr;
     trace::Access mode = trace::Access::kR;
+    Shadow* shadow = nullptr;  ///< shadows_ never erases: the node is stable
   };
   struct TaskInfo {
     std::string label;
     std::vector<AccessRec> accesses;
     std::vector<std::uint64_t> preds;
-    VectorClock vc;  ///< the task's event clock, valid once `vc_set`
+    /// The task's event clock once stamped.  Only a successor's stamp reads
+    /// it after the task completes, and a successor may be stamped again
+    /// until it completes itself (a device failure remaps tasks whose
+    /// kernels already ran their stamp), so it is freed once the task and
+    /// every successor have completed.
+    VectorClock vc;
     /// Join of the clocks of every task already completed when this one was
     /// submitted.  Tasks that finished before `t` even existed happen-before
     /// everything `t` does -- the runtime rightly creates no dependence edge
     /// for them (multi-phase runs: distribute, run, then emit compute), so
     /// the edge has to come from the submit point itself.  Snapshotted at
     /// submit, NOT read at stamp time: by stamp time concurrent tasks may
-    /// have completed, and joining those would mask real races.
+    /// have completed, and joining those would mask real races.  Freed at
+    /// completion, after the task's last stamp.
     VectorClock submit_vc;
-    bool vc_set = false;
-    bool finished = false;
+    Epoch epoch;  ///< stamp lane and clock (clock 0 until stamped)
+    std::uint32_t open_succs = 0;  ///< successors not yet completed
     bool completed = false;
-    int device = -1;
+    bool stamped() const { return epoch.clock != 0; }
   };
   struct ReaderRec {
     std::uint64_t task = 0;
-    VectorClock vc;
+    Epoch epoch;  ///< the read's stamp
   };
-  /// Shadow replica bookkeeping, keyed by handle.  `kNoVersion` marks a
-  /// location that never held a copy.
+  /// One device's view of a tile, created when the device first receives or
+  /// writes it.  A device without a record holds no version, has nothing in
+  /// flight and carries no happens-before edges.
+  struct DevShadow {
+    std::uint64_t version = kNoVersion;     ///< version the replica holds
+    std::uint64_t in_version = kNoVersion;  ///< version of the in-flight rx
+    VectorClock in_vc;       ///< HB carried by the in-flight rx
+    VectorClock arrival_vc;  ///< HB carried by every arrival so far
+  };
+  /// Shadow replica bookkeeping, keyed by handle.
   struct Shadow {
-    static constexpr std::uint64_t kNoVersion = ~0ull;
     std::uint64_t version = 0;       ///< writes observed so far
     std::uint64_t host_version = 0;  ///< version the host copy holds
-    std::vector<std::uint64_t> dev_version;
-    std::vector<std::uint64_t> in_version;  ///< version carried by in-flight rx
-    std::vector<VectorClock> in_vc;         ///< HB carried by in-flight rx
-    std::vector<VectorClock> arrival_vc;    ///< HB carried by the last arrival
-    VectorClock host_vc;                    ///< HB carried by the host copy
-    VectorClock write_vc;                   ///< clock of the last write event
+    /// Per-device records, ascending by device (mem::ReplicaMap's idiom);
+    /// a tile visits few of the devices, so nothing here is sized by them.
+    std::vector<std::pair<int, DevShadow>> dev;
+    VectorClock host_vc;   ///< HB carried by the host copy
+    VectorClock write_vc;  ///< clock of the last write event
+    Epoch write_epoch;     ///< the last write's stamp
     std::uint64_t write_task = 0;
-    std::string write_label;
     std::vector<ReaderRec> readers;  ///< reads since the last write
     bool d2h_inflight = false;
+
+    /// `g`'s record, or nullptr when `g` never touched the tile.
+    const DevShadow* find(int g) const;
+    DevShadow* find(int g) {
+      return const_cast<DevShadow*>(std::as_const(*this).find(g));
+    }
+    /// `g`'s record, created on first touch.  Invalidates other records'
+    /// addresses when it creates one.
+    DevShadow& touch(int g);
+    std::uint64_t dev_version(int g) const {
+      const DevShadow* d = find(g);
+      return d ? d->version : kNoVersion;
+    }
   };
 
   Shadow& shadow(const mem::DataHandle* h);
@@ -230,9 +270,14 @@ class Checker {
   }
   VectorClock& lane_clock(std::size_t lane);
 
-  /// Join every happens-before edge into `t`'s clock and stamp it with a
-  /// fresh event on `lane` (also advancing the lane clock).
-  void stamp(std::uint64_t id, TaskInfo& t, std::size_t lane);
+  /// Stamp `t` with a fresh event on `lane`: join every happens-before edge
+  /// into the lane clock, tick it and copy it into `t.vc`.  The caller joins
+  /// the edges carried by `t`'s read operands into the lane clock first.
+  void stamp(TaskInfo& t, std::size_t lane);
+  /// Free `t`'s clock once nothing can read it again.
+  static void release_clock(TaskInfo& t) {
+    if (t.completed && t.open_succs == 0) t.vc = VectorClock{};
+  }
   void check_reads(std::uint64_t id, TaskInfo& t);
   /// on_transfer_issue for a kDtoH flush of `h`'s current version.
   void host_flush_issue(const mem::DataHandle* h, int src);
@@ -258,7 +303,14 @@ class Checker {
   std::vector<std::uint64_t> task_order_;  ///< submission order (audit dump)
   std::unordered_map<const mem::DataHandle*, Shadow> shadows_;
   std::vector<VectorClock> lanes_;
-  VectorClock completed_vc_;  ///< join of all completed tasks' clocks
+  /// Join of all completed tasks' clocks, lane-indexed: it is the one clock
+  /// that spans every lane, so a completion raises its own lanes in place
+  /// instead of merging into a sparse clock.
+  std::vector<std::uint64_t> completed_;
+  /// Sparse snapshot of `completed_` handed to submits, rebuilt only when a
+  /// submit follows a completion.
+  VectorClock completed_vc_;
+  bool completed_vc_stale_ = false;
 
   // Reception ledger, balanced against the issued receptions in finalize().
   std::size_t arrivals_ = 0;

@@ -1,19 +1,27 @@
-// topo_bench: scale-out evidence for the tdl routed topology.
+// topo_bench: scale-out evidence for the tdl routed topology and for the
+// cost of xkb::check at scale.
 //
-// Sweeps fat-tree machines at 8 / 64 / 256 / 1024 devices, runs a checked
-// stencil workload on each, and emits BENCH_topo.json (schema
-// xkb.bench.topo/1, obs::Provenance, --append trajectory like perf_bench):
-// per-point simulated events/sec, a peak-RSS proxy (VmHWM where
-// /proc/self/status exists), and the topology's sparse-representation
-// accounting against the dense n*n counterfactual.
+// Sweeps fat-tree machines at 8 / 64 / 256 / 1024 devices and runs the same
+// stencil workload on each twice, unchecked and then checked, and emits
+// BENCH_topo.json (schema xkb.bench.topo/1, obs::Provenance, --append
+// trajectory like perf_bench): per-point simulated events/sec and peak RSS
+// (VmHWM where /proc/self/status exists) of both runs, their ratio
+// check_ratio = checked / unchecked events/sec, and the topology's
+// sparse-representation accounting against the dense n*n counterfactual.
+// VmHWM is a process high-water mark, so the unchecked run goes first:
+// the checked run's peak is then its own or an earlier checked run's.
 //
 // Hard gates (CI + ctest):
-//   exit 4  a checked run fails (xkb::check violation or failed run)
+//   exit 4  a checked run fails (xkb::check violation or failed run), or
+//           the checked and unchecked runs of a size process different
+//           numbers of simulated events (the checker must only observe)
 //   exit 5  memory scale-out violated: sparse_bytes must beat the dense
 //           n*n counterfactual at 64 devices and by 8x at 256+, and
 //           per-device sparse bytes must stay within 4x of the smallest
 //           size's -- per-device memory is O(active links), not
 //           O(devices^2).
+//   exit 6  full mode only: the checked run at 1024 devices peaks at
+//           100 MB of RSS or more
 //
 //   topo_bench [--smoke] [--out F] [--append]
 //
@@ -41,9 +49,7 @@ using namespace xkb;
 
 namespace {
 
-/// Peak resident set in KB from /proc/self/status (0 where unavailable);
-/// a proxy, not a gate -- the hard memory gate is the deterministic
-/// sparse-vs-dense accounting below.
+/// Peak resident set in KB from /proc/self/status (0 where unavailable).
 std::size_t peak_rss_kb() {
   std::ifstream st("/proc/self/status");
   std::string line;
@@ -57,6 +63,9 @@ std::size_t peak_rss_kb() {
   }
   return 0;
 }
+
+/// Checked runs at 1024 devices must peak below this (exit 6).
+constexpr std::size_t kCheckedRssGateKb = 100 * 1024;
 
 struct Point {
   int devices = 0;
@@ -73,7 +82,7 @@ struct Point {
   std::string check_report;
 };
 
-Point run_scale(int nodes, int gpus_per_node) {
+Point run_scale(int nodes, int gpus_per_node, bool checked) {
   tdl::FatTreeSpec spec;
   spec.nodes = nodes;
   spec.gpus_per_node = gpus_per_node;
@@ -95,7 +104,7 @@ Point run_scale(int nodes, int gpus_per_node) {
   popt.functional = false;
   rt::Platform plat(topo, rt::PerfModel{}, popt);
   rt::RuntimeOptions ropt;
-  ropt.check.enabled = true;
+  ropt.check.enabled = checked;
   rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(),
                       ropt);
 
@@ -126,6 +135,16 @@ Point run_scale(int nodes, int gpus_per_node) {
   }
   return p;
 }
+
+/// One sweep size: the unchecked run first, then the checked one.
+struct SizePoint {
+  Point unchecked, checked;
+  double check_ratio() const {
+    return unchecked.events_per_sec > 0
+               ? checked.events_per_sec / unchecked.events_per_sec
+               : 0.0;
+  }
+};
 
 // ------------------------------------------------- trajectory (--append) --
 
@@ -172,20 +191,32 @@ int main(int argc, char** argv) {
     scales.push_back({64, 16});
   }
 
-  std::vector<Point> points;
+  std::vector<SizePoint> sizes;
   for (const Scale& s : scales) {
-    points.push_back(run_scale(s.nodes, s.gpus_per_node));
-    const Point& p = points.back();
+    SizePoint& sp = sizes.emplace_back();
+    sp.unchecked = run_scale(s.nodes, s.gpus_per_node, /*checked=*/false);
+    sp.checked = run_scale(s.nodes, s.gpus_per_node, /*checked=*/true);
+    const Point& p = sp.checked;
     std::printf(
         "%-16s %5d dev  %8zu tasks  %10llu events  %7.3f s  %10.0f ev/s  "
-        "rss %zu KB  sparse %zu B (dense %zu B)  check %s\n",
+        "rss %zu KB  unchecked %10.0f ev/s rss %zu KB  ratio %.2f  "
+        "sparse %zu B (dense %zu B)  check %s\n",
         p.machine.c_str(), p.devices, p.tasks,
         static_cast<unsigned long long>(p.sim_events), p.wall_s,
-        p.events_per_sec, p.rss_kb, p.sparse_bytes, p.dense_bytes,
+        p.events_per_sec, p.rss_kb, sp.unchecked.events_per_sec,
+        sp.unchecked.rss_kb, sp.check_ratio(), p.sparse_bytes, p.dense_bytes,
         p.check_ok ? "ok" : "FAIL");
     if (!p.check_ok) {
       std::fprintf(stderr, "topo_bench: CHECK FAILED at %d devices:\n%s\n",
                    p.devices, p.check_report.c_str());
+      return 4;
+    }
+    if (p.sim_events != sp.unchecked.sim_events) {
+      std::fprintf(stderr,
+                   "topo_bench: CHECK FAILED at %d devices: the checked run "
+                   "processed %llu events, the unchecked one %llu\n",
+                   p.devices, static_cast<unsigned long long>(p.sim_events),
+                   static_cast<unsigned long long>(sp.unchecked.sim_events));
       return 4;
     }
   }
@@ -194,10 +225,11 @@ int main(int argc, char** argv) {
   // decisively at scale, and per-device footprint must stay bounded (the
   // fat tree's active links per device are constant across sizes).
   const double per_dev_first =
-      static_cast<double>(points.front().sparse_bytes) /
-      points.front().devices;
+      static_cast<double>(sizes.front().checked.sparse_bytes) /
+      sizes.front().checked.devices;
   bool mem_ok = true;
-  for (const Point& p : points) {
+  for (const SizePoint& sp : sizes) {
+    const Point& p = sp.checked;
     // Sparse O(links) vs dense O(n^2): any win at 64 devices, a decisive
     // 8x at 256+ where the quadratic term dominates.
     const std::size_t factor = p.devices >= 256 ? 8 : 1;
@@ -214,24 +246,34 @@ int main(int argc, char** argv) {
                    "topo_bench: MEMORY GATE FAILED: %.0f B/device at %d "
                    "devices vs %.0f B/device at %d -- not O(active links)\n",
                    per_dev, p.devices, per_dev_first,
-                   points.front().devices);
+                   sizes.front().checked.devices);
       mem_ok = false;
     }
   }
   if (!mem_ok) return 5;
+  // The checker's own footprint: sparse shadow and clocks keep a checked
+  // 1024-device run within a bounded budget (the dense checker took 2.5 GB).
+  const Point& top = sizes.back().checked;
+  if (!smoke && top.devices >= 1024 && top.rss_kb >= kCheckedRssGateKb) {
+    std::fprintf(stderr,
+                 "topo_bench: CHECKED RSS GATE FAILED: %zu KB peak at %d "
+                 "devices (limit %zu KB)\n",
+                 top.rss_kb, top.devices, kCheckedRssGateKb);
+    return 6;
+  }
 
   const obs::Provenance prov =
       obs::Provenance::current("xkb.bench.topo", 1);
   const Trajectory traj = append ? load_trajectory(out) : Trajectory{};
-  const Point& top = points.back();
-  char cur[256];
+  char cur[320];
   std::snprintf(cur, sizeof cur,
                 "{\"git\": \"%s\", \"date\": \"%s\", \"mode\": \"%s\", "
                 "\"devices\": %d, \"events_per_sec\": %.0f, "
-                "\"sparse_bytes\": %zu}",
+                "\"sparse_bytes\": %zu, \"peak_rss_kb\": %zu, "
+                "\"check_ratio\": %.3f}",
                 prov.git.c_str(), prov.date.c_str(),
                 smoke ? "smoke" : "full", top.devices, top.events_per_sec,
-                top.sparse_bytes);
+                top.sparse_bytes, top.rss_kb, sizes.back().check_ratio());
 
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (!f) {
@@ -246,24 +288,29 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    %s\n  ],\n", cur);
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const Point& p = sizes[i].checked;
+    const Point& u = sizes[i].unchecked;
     std::fprintf(
         f,
         "    {\"devices\": %d, \"machine\": \"%s\", \"tasks\": %zu, "
         "\"sim_events\": %llu, \"wall_s\": %.6f, \"events_per_sec\": %.0f, "
-        "\"peak_rss_kb\": %zu, \"sparse_bytes\": %zu, \"dense_bytes\": %zu, "
+        "\"peak_rss_kb\": %zu, \"unchecked_events_per_sec\": %.0f, "
+        "\"unchecked_peak_rss_kb\": %zu, \"check_ratio\": %.3f, "
+        "\"sparse_bytes\": %zu, \"dense_bytes\": %zu, "
         "\"bytes_per_device\": %.1f, \"fabric_rows\": %zu, "
         "\"check_ok\": true}%s\n",
         p.devices, p.machine.c_str(), p.tasks,
         static_cast<unsigned long long>(p.sim_events), p.wall_s,
-        p.events_per_sec, p.rss_kb, p.sparse_bytes, p.dense_bytes,
+        p.events_per_sec, p.rss_kb, u.events_per_sec, u.rss_kb,
+        sizes[i].check_ratio(), p.sparse_bytes, p.dense_bytes,
         static_cast<double>(p.sparse_bytes) / p.devices, p.fabric_rows,
-        i + 1 < points.size() ? "," : "");
+        i + 1 < sizes.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"gates\": {\"check\": \"ok\", \"sparse_vs_dense\": "
-                  "\"ok\", \"per_device_bounded\": \"ok\"}\n}\n");
+                  "\"ok\", \"per_device_bounded\": \"ok\"%s}\n}\n",
+               smoke ? "" : ", \"checked_rss\": \"ok\"");
   std::fclose(f);
   std::printf("topo_bench: wrote %s\n", out.c_str());
   return 0;
