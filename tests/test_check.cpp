@@ -240,6 +240,65 @@ TEST(Check, AbortPastTheRetryCapIsReported) {
       << c.report();
 }
 
+double tile_bufs[3][16];
+
+/// Three more tiles in `d`'s registry, in ascending id order.
+std::vector<mem::DataHandle*> three_tiles(DirectChecker& d) {
+  std::vector<mem::DataHandle*> out;
+  for (double* b : tile_bufs)
+    out.push_back(d.reg.intern(b, 4, 4, 4, sizeof(double)));
+  return out;
+}
+
+std::vector<std::string> messages(const check::Checker& c) {
+  std::vector<std::string> out;
+  for (const check::Violation& v : c.violations()) out.push_back(v.message);
+  return out;
+}
+
+std::string pin_leak(const mem::DataHandle* h, int dev) {
+  return "pin leak: tile " + std::to_string(h->id) + " on GPU " +
+         std::to_string(dev) + " still has 1 pins after the run";
+}
+
+TEST(Check, FinalScanReportsTilesInIdOrder) {
+  DirectChecker d;
+  check::Checker c = d.make(true);
+  const std::vector<mem::DataHandle*> t = three_tiles(d);
+  for (auto it = t.rbegin(); it != t.rend(); ++it) {
+    c.on_source_choice(*it, 2, trace::SourceKind::kHost, -1, false);
+    (*it)->dev[2].pins = 1;
+  }
+  c.finalize(check::StatsView{});
+  EXPECT_EQ(messages(c), (std::vector<std::string>{
+                             pin_leak(t[0], 2), pin_leak(t[1], 2),
+                             pin_leak(t[2], 2)}));
+}
+
+TEST(Check, UnresolvedRecoveriesPrecedeTheTileScan) {
+  DirectChecker d;
+  check::Checker c = d.make(true);
+  const std::vector<mem::DataHandle*> t = three_tiles(d);
+  c.on_source_choice(t[0], 0, trace::SourceKind::kHost, -1, false);
+  t[0]->dev[0].pins = 1;
+  c.on_device_failure(1);
+  // The two higher tiles, highest first, had their only copy on GPU 1.
+  t[2]->host.state = mem::ReplicaState::kInvalid;
+  c.on_replica_lost(t[2], 1, /*was_dirty=*/true);
+  t[1]->host.state = mem::ReplicaState::kInvalid;
+  c.on_replica_lost(t[1], 1, /*was_dirty=*/false);
+  c.finalize(check::StatsView{});
+  auto unresolved = [](const mem::DataHandle* h, const char* how) {
+    return "unresolved recovery: tile " + std::to_string(h->id) +
+           " version 0 lost with " + how +
+           " replica on failed GPU 1 and neither a surviving copy nor a"
+           " replay restored it";
+  };
+  EXPECT_EQ(messages(c), (std::vector<std::string>{
+                             unresolved(t[1], "clean"),
+                             unresolved(t[2], "dirty"), pin_leak(t[0], 0)}));
+}
+
 // Race verdicts fed straight to the checker, one tile and one kernel per
 // task.  Coherence is off: these reports bypass the DataManager, so the
 // replica states they leave behind would trip the protocol checks.

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -27,6 +28,8 @@
 #include "util/json.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/scheduler.hpp"
+#include "svc/arrivals.hpp"
+#include "svc/svc.hpp"
 #include "tdl/presets.hpp"
 #include "trace/export.hpp"
 #include "workload/bridge.hpp"
@@ -404,6 +407,58 @@ TEST(ObservedRun, FlowsChainAfterTheirReceptionOnA272DeviceFatTree) {
   for (const Flow& f : o.flows())
     if (f.dst_iv.start < f.src_iv.end - 1e-12) ++early;
   EXPECT_EQ(0u, early) << "of " << o.flows().size() << " flows";
+}
+
+// Service traffic interns fresh tiles for every job attempt, so the tile
+// count grows with the soak: every wait still chains exactly one flow, and
+// that flow names its own reception.
+TEST(ObservedRun, ServiceSoakWaitsEachChainOneFlow) {
+  rt::PlatformOptions popt;
+  popt.functional = false;
+  popt.device_capacity = 32ull << 30;
+  rt::Platform plat(topo::Topology::dgx1(), rt::PerfModel{}, popt);
+  Observability o(plat.num_gpus());
+  plat.set_obs(&o);
+  rt::RuntimeOptions ropt;
+  ropt.check.enabled = true;
+  rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(),
+                      ropt);
+  svc::Service service(runtime, svc::ServiceOptions{});
+  std::vector<svc::TenantSpec> tenants(3);
+  for (int i = 0; i < 3; ++i) {
+    tenants[i].name = "t" + std::to_string(i);
+    tenants[i].priority = 2 - i;
+    tenants[i].share = 3.0 - i;
+    tenants[i].deadline = i == 0 ? 10e-3 : 0.0;
+    tenants[i].queue_cap = 64;
+    tenants[i].max_in_system = 96;
+    service.add_tenant(tenants[i]);
+  }
+  const svc::ArrivalTrace trace = svc::poisson_trace(42, tenants, 250.0, 300);
+  std::map<std::string, std::shared_ptr<const wl::WorkloadGraph>> graphs;
+  for (const svc::Arrival& a : trace.arrivals) {
+    auto& g = graphs[a.spec];
+    if (!g)
+      g = std::make_shared<const wl::WorkloadGraph>(
+          wl::build(wl::WorkloadSpec::parse(a.spec)));
+    svc::JobSpec js{a.job, g, a.deadline};
+    plat.engine().schedule_at(a.t, [&service, t = a.tenant,
+                                    js = std::move(js)] {
+      service.submit(t, js);
+    });
+  }
+  service.drain();
+  ASSERT_TRUE(runtime.checker()->ok()) << runtime.checker()->report();
+  const rt::TransferStats& st = runtime.data_manager().stats();
+  EXPECT_EQ(st.optimistic_waits + st.forced_waits, o.flows().size());
+  EXPECT_GT(o.flows().size(), 0u);
+  std::size_t early = 0, self = 0;
+  for (const Flow& f : o.flows()) {
+    if (f.dst_iv.start < f.src_iv.end - 1e-12) ++early;
+    if (f.src_dev == f.dst_dev) ++self;
+  }
+  EXPECT_EQ(0u, early) << "of " << o.flows().size() << " flows";
+  EXPECT_EQ(0u, self) << "of " << o.flows().size() << " flows";
 }
 
 TEST(ObservedRun, DecisionsCoverEveryMissAndRegistryNamesExist) {
