@@ -268,8 +268,7 @@ BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
   }
 
   res.breakdown = plat.trace().breakdown();
-  for (int g = 0; g < plat.num_gpus(); ++g)
-    res.per_gpu.push_back(plat.trace().breakdown(g));
+  res.per_gpu = plat.trace().per_device_breakdown(plat.num_gpus());
   res.transfers = runtime.data_manager().stats();
   res.steals = runtime.steals();
   res.tasks = runtime.tasks_completed();

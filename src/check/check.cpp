@@ -76,7 +76,16 @@ Checker::DevShadow& Checker::Shadow::touch(int g) {
 Checker::Shadow& Checker::shadow(const mem::DataHandle* h) {
   // User data starts on the host (mem::Registry interns host-valid handles);
   // version 0 is the initial host content.
-  return shadows_[h];
+  if (h->id >= shadows_.size()) shadows_.resize(h->id + 1);
+  Shadow& s = shadows_[h->id];
+  s.handle = h;
+  return s;
+}
+
+void Checker::settle_recovery(Shadow& s) {
+  if (!s.recovery_pending) return;
+  s.recovery_pending = false;
+  --pending_recoveries_;
 }
 
 Checker::TaskInfo* Checker::task(std::uint64_t id) {
@@ -684,12 +693,13 @@ void Checker::on_replica_lost(const mem::DataHandle* h, int dev,
   // If the purge dropped the last holder of the current version, recovery
   // owes us a replay (or a diagnosed data loss, which aborts the run before
   // finalize).  A surviving copy -- promoted or not -- settles it here.
-  if (!current_version_survives(h, s, dev))
-    pending_recovery_[h] =
-        "tile " + std::to_string(h->id) + " version " +
-        std::to_string(s.version) + " lost with " +
-        (was_dirty ? std::string("dirty") : std::string("clean")) +
-        " replica on failed GPU " + std::to_string(dev);
+  if (!current_version_survives(h, s, dev)) {
+    if (!s.recovery_pending) ++pending_recoveries_;
+    s.recovery_pending = true;
+    s.lost_dirty = was_dirty;
+    s.lost_dev = dev;
+    s.lost_version = s.version;
+  }
 }
 
 void Checker::on_promote(const mem::DataHandle* h, int dev) {
@@ -697,7 +707,7 @@ void Checker::on_promote(const mem::DataHandle* h, int dev) {
   fold(h->id);
   fold(static_cast<std::uint64_t>(dev));
   Shadow& s = shadow(h);
-  pending_recovery_.erase(h);
+  settle_recovery(s);
   if (!cfg_.coherence) return;
   const mem::Replica& r = h->dev[dev];
   if (r.state != mem::ReplicaState::kValid || !r.dirty)
@@ -719,7 +729,7 @@ void Checker::on_replay(const mem::DataHandle* h, std::uint64_t task) {
   fold(task);
   // The replayed producer flows through on_submit/on_mark_written like any
   // task; once it rewrites the tile the current version exists again.
-  pending_recovery_.erase(h);
+  if (h->id < shadows_.size()) settle_recovery(shadows_[h->id]);
 }
 
 void Checker::on_task_remap(std::uint64_t id, int from_dev, int to_dev) {
@@ -834,29 +844,23 @@ void Checker::finalize(const StatsView& st) {
 
   // --- final protocol scan ----------------------------------------------
   if (cfg_.coherence) {
-    // Both maps are keyed by DataHandle pointers; iterating them directly
-    // would emit violations in heap-address order -- nondeterministic
-    // output from the very layer that certifies determinism (flagged by
-    // xkb-tidy's unordered-observable check).  Scan snapshots sorted by
-    // stable tile id instead.
-    auto by_tile_id = [](auto* a, auto* b) { return a->id < b->id; };
-    std::vector<const mem::DataHandle*> pending;
-    pending.reserve(pending_recovery_.size());
-    for (const auto& [h, msg] : pending_recovery_)  // NOLINT(xkb-unordered-observable): order-independent snapshot, sorted below
-      pending.push_back(h);
-    std::sort(pending.begin(), pending.end(), by_tile_id);
-    for (const mem::DataHandle* h : pending)
-      violation(ViolationKind::kCoherence,
-                "unresolved recovery: " + pending_recovery_.at(h) +
-                    " and neither a surviving copy nor a replay restored it");
-    std::vector<const mem::DataHandle*> tiles;
-    tiles.reserve(shadows_.size());
-    for (const auto& [h, s] : shadows_)  // NOLINT(xkb-unordered-observable): order-independent snapshot, sorted below
-      tiles.push_back(h);
-    std::sort(tiles.begin(), tiles.end(), by_tile_id);
-    for (const mem::DataHandle* h : tiles) {
-      const Shadow& s = shadows_.at(h);
-      if (pending_recovery_.count(h)) continue;  // already reported above
+    // shadows_ is indexed by tile id, so both walks report in tile-id order.
+    if (pending_recoveries_ != 0)
+      for (const Shadow& s : shadows_)
+        if (s.recovery_pending)
+          violation(ViolationKind::kCoherence,
+                    "unresolved recovery: tile " +
+                        std::to_string(s.handle->id) + " version " +
+                        std::to_string(s.lost_version) + " lost with " +
+                        (s.lost_dirty ? "dirty" : "clean") +
+                        " replica on failed GPU " +
+                        std::to_string(s.lost_dev) +
+                        " and neither a surviving copy nor a replay"
+                        " restored it");
+    for (const Shadow& s : shadows_) {
+      // Untouched ids, and tiles already reported above, are skipped.
+      if (!s.handle || s.recovery_pending) continue;
+      const mem::DataHandle* h = s.handle;
       int dirty = 0;
       for (const auto& [g, r] : h->dev) {
         if (r.dirty) ++dirty;

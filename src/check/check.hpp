@@ -191,7 +191,7 @@ class Checker {
   struct AccessRec {
     const mem::DataHandle* handle = nullptr;
     trace::Access mode = trace::Access::kR;
-    Shadow* shadow = nullptr;  ///< shadows_ never erases: the node is stable
+    Shadow* shadow = nullptr;  ///< stable: shadows_ only grows at the back
   };
   struct TaskInfo {
     std::string label;
@@ -230,8 +230,9 @@ class Checker {
     VectorClock in_vc;       ///< HB carried by the in-flight rx
     VectorClock arrival_vc;  ///< HB carried by every arrival so far
   };
-  /// Shadow replica bookkeeping, keyed by handle.
+  /// Shadow replica bookkeeping of one tile.
   struct Shadow {
+    const mem::DataHandle* handle = nullptr;  ///< null until first touched
     std::uint64_t version = 0;       ///< writes observed so far
     std::uint64_t host_version = 0;  ///< version the host copy holds
     /// Per-device records, ascending by device (mem::ReplicaMap's idiom);
@@ -243,6 +244,13 @@ class Checker {
     std::uint64_t write_task = 0;
     std::vector<ReaderRec> readers;  ///< reads since the last write
     bool d2h_inflight = false;
+    /// The tile's last current copy died with failed GPU `lost_dev` (a
+    /// `lost_dirty` replica at `lost_version`), and no replay or surviving
+    /// copy has restored it yet.
+    bool recovery_pending = false;
+    bool lost_dirty = false;
+    int lost_dev = -1;
+    std::uint64_t lost_version = 0;
 
     /// `g`'s record, or nullptr when `g` never touched the tile.
     const DevShadow* find(int g) const;
@@ -258,7 +266,10 @@ class Checker {
     }
   };
 
+  /// `h`'s shadow, created on first touch.
   Shadow& shadow(const mem::DataHandle* h);
+  /// Clear `s`'s pending recovery, if any.
+  void settle_recovery(Shadow& s);
   TaskInfo* task(std::uint64_t id);
   /// Clock lanes: 0 is the host, then one kernel FIFO per device, then one
   /// virtual lane per device for kernel-less placement tasks.
@@ -301,7 +312,10 @@ class Checker {
 
   std::unordered_map<std::uint64_t, TaskInfo> tasks_;
   std::vector<std::uint64_t> task_order_;  ///< submission order (audit dump)
-  std::unordered_map<const mem::DataHandle*, Shadow> shadows_;
+  /// Indexed by mem::DataHandle::id and grown on first touch: a deque, so
+  /// growth keeps every AccessRec::shadow valid, and walking it visits the
+  /// tiles in id order.
+  std::deque<Shadow> shadows_;
   std::vector<VectorClock> lanes_;
   /// Join of all completed tasks' clocks, lane-indexed: it is the one clock
   /// that spans every lane, so a completion raises its own lanes in place
@@ -321,9 +335,9 @@ class Checker {
     return dev >= 0 && static_cast<std::size_t>(dev) < failed_devs_.size() &&
            failed_devs_[static_cast<std::size_t>(dev)] != 0;
   }
-  /// Tiles whose last current copy died with a failed device; must be
-  /// resolved by on_replay before finalize.
-  std::unordered_map<const mem::DataHandle*, std::string> pending_recovery_;
+  /// Shadows with recovery_pending set: each must be resolved by a replay
+  /// or a promotion before finalize.
+  std::size_t pending_recoveries_ = 0;
 
   std::vector<Violation> violations_;
   std::size_t total_violations_ = 0;

@@ -37,10 +37,4 @@ DataHandle* Registry::find(void* origin) const {
   return it == handles_.end() ? nullptr : it->second.get();
 }
 
-void Registry::clear() {
-  handles_.clear();
-  order_.clear();
-  next_id_ = 1;
-}
-
 }  // namespace xkb::mem

@@ -20,6 +20,12 @@ class Registry {
   /// Find or create the handle for the tile whose (0,0) element lives at
   /// `origin`.  Dimensions must match on every lookup (XKBlas requires a
   /// consistent blocking across composed calls).
+  ///
+  /// A new handle's id is the next of 1, 2, 3, ...: ids are dense, and no
+  /// id is ever reused, since handles are never dropped.  The per-tile
+  /// tables of rt::Runtime, check::Checker and obs::Observability are
+  /// indexed by this id, so a reused id would hand a new tile an old one's
+  /// state.
   DataHandle* intern(void* origin, std::size_t m, std::size_t n,
                      std::size_t ld, std::size_t wordsize);
 
@@ -31,9 +37,6 @@ class Registry {
 
   /// All handles, in creation order (deterministic iteration).
   const std::vector<DataHandle*>& all() const { return order_; }
-
-  /// Drop all handles (between independent experiments).
-  void clear();
 
  private:
   int num_devices_;

@@ -58,7 +58,7 @@ void Observability::on_decision(Decision d) {
   flight_.note(d.t, FlightEntry::Kind::kDecision, d.picked_dev, d.dst,
                d.handle, 0, to_string(d.pick));
   if (d.pick == SourceKind::kWaitDevice) {
-    pending_wait_[{d.handle, d.dst}] = d.forced;
+    dev_rx(tile_rx(d.handle), d.dst).wait = d.forced ? 1 : 0;
     flight_.note(last_event_, FlightEntry::Kind::kWait, d.picked_dev, d.dst,
                  d.handle, 0, d.forced ? "forced" : "optimistic");
   }
@@ -94,36 +94,44 @@ void Observability::on_transfer(OpKind k, std::uint64_t handle, int src,
                  k == OpKind::kHtoD ? -1 : src, k == OpKind::kDtoH ? -1 : dst,
                  handle, bytes, tag);
   }
-  switch (k) {
-    case OpKind::kHtoD:
-      pending_rx_[{handle, dst}] = PendingRx{1, iv};
-      break;
-    case OpKind::kPtoP: {
-      if (chained) {
-        // This copy is the forwarding leg of a wait: connect it back to the
-        // reception it chained off (still the most recent rx on `src`).
-        auto rx = pending_rx_.find({handle, src});
-        auto w = pending_wait_.find({handle, dst});
-        if (rx != pending_rx_.end()) {
-          Flow f;
-          f.handle = handle;
-          f.src_dev = src;
-          f.dst_dev = dst;
-          f.src_tid = rx->second.tid;
-          f.src_iv = rx->second.iv;
-          f.dst_iv = iv;
-          f.forced = w != pending_wait_.end() && w->second;
-          flows_.push_back(f);
-        }
-        if (w != pending_wait_.end()) pending_wait_.erase(w);
-      }
-      pending_rx_[{handle, dst}] = PendingRx{3, iv};
-      break;
+  if (k != OpKind::kHtoD && k != OpKind::kPtoP) return;
+  std::vector<DevRx>& tile = tile_rx(handle);
+  DevRx& to = dev_rx(tile, dst);
+  if (k == OpKind::kPtoP && chained) {
+    // This copy is the forwarding leg of a wait: connect it back to the
+    // reception it chained off (still the most recent rx on `src`).
+    const auto from =
+        std::find_if(tile.begin(), tile.end(),
+                     [src](const DevRx& r) { return r.dev == src; });
+    if (from != tile.end() && from->tid != 0) {
+      Flow f;
+      f.handle = handle;
+      f.src_dev = src;
+      f.dst_dev = dst;
+      f.src_tid = from->tid;
+      f.src_iv = from->iv;
+      f.dst_iv = iv;
+      f.forced = to.wait == 1;
+      flows_.push_back(f);
     }
-    case OpKind::kDtoH:
-    case OpKind::kKernel:
-      break;
+    to.wait = -1;
   }
+  to.tid = k == OpKind::kHtoD ? 1 : 3;
+  to.iv = iv;
+}
+
+std::vector<Observability::DevRx>& Observability::tile_rx(
+    std::uint64_t tile) {
+  if (tile >= rx_.size()) rx_.resize(tile + 1);
+  return rx_[tile];
+}
+
+Observability::DevRx& Observability::dev_rx(std::vector<DevRx>& tile,
+                                            int dev) {
+  for (DevRx& r : tile)
+    if (r.dev == dev) return r;
+  tile.push_back(DevRx{dev, 0, -1, {}});
+  return tile.back();
 }
 
 Series* Observability::ready_series(int dev) {
@@ -152,8 +160,7 @@ void Observability::clear() {
   std::fill(evict_clean_.begin(), evict_clean_.end(), 0);
   std::fill(evict_dirty_.begin(), evict_dirty_.end(), 0);
   last_event_ = 0.0;
-  pending_rx_.clear();
-  pending_wait_.clear();
+  rx_.clear();
   flight_.clear();
   flight_dump_.clear();
   reg_.reset_values();

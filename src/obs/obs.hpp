@@ -22,10 +22,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -207,26 +206,22 @@ class Observability {
   std::vector<std::uint64_t> evict_clean_, evict_dirty_;
   sim::Time last_event_ = 0.0;
 
-  /// Last reception per (handle, device) + pending wait flags, for flow
-  /// reconstruction, keyed by the full (handle, device) pair.
-  struct PendingRx {
-    int tid = 1;
-    sim::Interval iv;
-  };
-  struct RxKey {
-    std::uint64_t handle = 0;
+  /// Flow reconstruction state of one tile on one device, keyed by the
+  /// full device id: the last reception into the device and the wait that
+  /// will chain a forwarded copy to it.
+  struct DevRx {
     int dev = 0;
-    bool operator==(const RxKey&) const = default;
+    std::int8_t tid = 0;    ///< Chrome sub-track of the reception, 0: none yet
+    std::int8_t wait = -1;  ///< forced flag of the pending wait, -1: none
+    sim::Interval iv;       ///< the last reception
   };
-  struct RxKeyHash {
-    std::size_t operator()(const RxKey& k) const {
-      return std::hash<std::uint64_t>{}(k.handle * 0x9e3779b97f4a7c15ull ^
-                                        static_cast<std::uint64_t>(k.dev));
-    }
-  };
-  std::unordered_map<RxKey, PendingRx, RxKeyHash> pending_rx_;
-  /// (handle, dst) -> forced flag of the wait that will chain to dst.
-  std::unordered_map<RxKey, bool, RxKeyHash> pending_wait_;
+  /// The records of tile id `tile`, created on first touch.
+  std::vector<DevRx>& tile_rx(std::uint64_t tile);
+  /// `dev`'s record in `tile`, created on first touch.
+  static DevRx& dev_rx(std::vector<DevRx>& tile, int dev);
+  /// Per tile id, grown on first touch: the devices the tile was received
+  /// on or is awaited at, in first-touch order (a tile visits few devices).
+  std::deque<std::vector<DevRx>> rx_;
 };
 
 }  // namespace xkb::obs

@@ -73,6 +73,11 @@ Runtime::~Runtime() {
   }
 }
 
+Runtime::HandleSeq& Runtime::seq(const mem::DataHandle* h) {
+  if (h->id >= seq_.size()) seq_.resize(h->id + 1);
+  return seq_[h->id];
+}
+
 Task* Runtime::new_task(TaskDesc desc) {
   tasks_.push_back(std::make_unique<Task>(std::move(desc)));
   Task* t = tasks_.back().get();
@@ -86,7 +91,7 @@ void Runtime::submit(TaskDesc desc) {
   // Derive dependencies from program order of accesses.
   std::vector<Task*> preds;
   for (const TaskAccess& a : t->desc.accesses) {
-    HandleSeq& hs = seq_[a.handle];
+    HandleSeq& hs = seq(a.handle);
     if (a.mode == Access::kR) {
       if (hs.last_writer && !hs.last_writer->done)
         preds.push_back(hs.last_writer);
@@ -118,7 +123,7 @@ Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
   Task* t = new_task(std::move(desc));
   std::vector<Task*> preds;
   for (const TaskAccess& a : t->desc.accesses) {
-    HandleSeq& hs = seq_[a.handle];
+    HandleSeq& hs = seq(a.handle);
     if (a.handle == out && a.mode != Access::kR) {
       // Regenerating the lost version in place: pending readers are parked
       // on the *data* (they re-plan off this write's mark_written), not
@@ -352,7 +357,7 @@ void Runtime::on_kernel_done(Task* t) {
   for (const TaskAccess& a : t->desc.accesses)
     t->access_versions.push_back(a.handle->version);
   for (const TaskAccess& a : t->desc.accesses)
-    if (a.mode != Access::kR) seq_[a.handle].version_writer = t;
+    if (a.mode != Access::kR) seq(a.handle).version_writer = t;
   for (const TaskAccess& a : t->desc.accesses) dm_.unpin(a.handle, dev);
   if (opt_.drop_inputs_after_use) {
     for (const TaskAccess& a : t->desc.accesses) {
@@ -481,8 +486,7 @@ void Runtime::on_device_failure(int g) {
 }
 
 bool Runtime::replay_producer(mem::DataHandle* h, std::string& reason) {
-  auto it = seq_.find(h);
-  Task* p = it != seq_.end() ? it->second.version_writer : nullptr;
+  Task* p = h->id < seq_.size() ? seq_[h->id].version_writer : nullptr;
   if (!p) {
     reason = "no completed producer is recorded for the current version";
     return false;

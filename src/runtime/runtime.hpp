@@ -16,7 +16,6 @@
 #include <deque>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "check/check.hpp"
@@ -148,6 +147,8 @@ class Runtime {
     Task* version_writer = nullptr;
   };
 
+  /// `h`'s access sequence, created on first touch.
+  HandleSeq& seq(const mem::DataHandle* h);
   void on_ready(Task* t);
   void fill(int dev);
   void fill_all();
@@ -188,7 +189,9 @@ class Runtime {
   DataManager dm_;
 
   std::vector<std::unique_ptr<Task>> tasks_;
-  std::unordered_map<mem::DataHandle*, HandleSeq> seq_;
+  /// Per-tile access sequence, indexed by mem::DataHandle::id and grown on
+  /// first touch (a deque: growth never moves or copies existing records).
+  std::deque<HandleSeq> seq_;
   std::vector<DevState> devs_;
   /// Devices with a non-empty assigned queue (ascending, mirrors DevState).
   std::set<int> queued_;

@@ -55,8 +55,9 @@ std::string gantt_ascii(const Trace& t, int num_devices, int width) {
 std::string per_gpu_table(const Trace& t, int num_devices) {
   xkb::Table tab({"GPU", "HtoD(s)", "DtoH(s)", "PtoP(s)", "Kernel(s)",
                   "Transfers(s)", "Busy(s)"});
+  const std::vector<Breakdown> per_device = t.per_device_breakdown(num_devices);
   for (int d = 0; d < num_devices; ++d) {
-    const Breakdown b = t.breakdown(d);
+    const Breakdown& b = per_device[static_cast<std::size_t>(d)];
     tab.add_row({std::to_string(d), xkb::Table::num(b.htod, 3),
                  xkb::Table::num(b.dtoh, 3), xkb::Table::num(b.ptop, 3),
                  xkb::Table::num(b.kernel, 3),

@@ -36,19 +36,34 @@ void Trace::clear() {
   max_device_ = -1;
 }
 
+namespace {
+
+void add_duration(Breakdown& b, const Record& r) {
+  const double d = r.end - r.start;
+  switch (r.kind) {
+    case OpKind::kHtoD: b.htod += d; break;
+    case OpKind::kDtoH: b.dtoh += d; break;
+    case OpKind::kPtoP: b.ptop += d; break;
+    case OpKind::kKernel: b.kernel += d; break;
+  }
+}
+
+}  // namespace
+
 Breakdown Trace::breakdown(int device) const {
   Breakdown b;
-  for (const Record& r : records_) {
-    if (device >= 0 && r.device != device) continue;
-    const double d = r.end - r.start;
-    switch (r.kind) {
-      case OpKind::kHtoD: b.htod += d; break;
-      case OpKind::kDtoH: b.dtoh += d; break;
-      case OpKind::kPtoP: b.ptop += d; break;
-      case OpKind::kKernel: b.kernel += d; break;
-    }
-  }
+  for (const Record& r : records_)
+    if (device < 0 || r.device == device) add_duration(b, r);
   return b;
+}
+
+std::vector<Breakdown> Trace::per_device_breakdown(int num_devices) const {
+  std::vector<Breakdown> out(
+      static_cast<std::size_t>(std::max(num_devices, 0)));
+  for (const Record& r : records_)
+    if (r.device >= 0 && r.device < num_devices)
+      add_duration(out[static_cast<std::size_t>(r.device)], r);
+  return out;
 }
 
 sim::Time Trace::span() const {

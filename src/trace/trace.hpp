@@ -53,6 +53,11 @@ class Trace {
   /// Sum of operation durations by class; device == -1 sums over all GPUs.
   Breakdown breakdown(int device = -1) const;
 
+  /// breakdown(g) for every g in [0, num_devices), in one pass over the
+  /// records.  Each device's sums are added in record order, so they are
+  /// bit-identical to breakdown(g)'s.
+  std::vector<Breakdown> per_device_breakdown(int num_devices) const;
+
   /// Latest end time over all records (the makespan of the traced region).
   sim::Time span() const;
 

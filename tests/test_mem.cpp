@@ -40,17 +40,11 @@ TEST(Registry, DistinctOriginsDistinctHandles) {
   DataHandle* a = reg.intern(buf, 4, 4, 64, sizeof(double));
   DataHandle* b = reg.intern(buf + 4, 4, 4, 64, sizeof(double));
   EXPECT_NE(a, b);
+  EXPECT_EQ(a->id, 1u);  // ids are dense from 1: per-tile tables index them
+  EXPECT_EQ(b->id, 2u);
   EXPECT_EQ(reg.find(buf), a);
   EXPECT_EQ(reg.find(buf + 4), b);
   EXPECT_EQ(reg.find(buf + 8), nullptr);
-}
-
-TEST(Registry, ClearResets) {
-  Registry reg(2);
-  reg.intern(buf, 4, 4, 8, sizeof(double));
-  reg.clear();
-  EXPECT_EQ(reg.size(), 0u);
-  EXPECT_EQ(reg.find(buf), nullptr);
 }
 
 TEST(Registry, ValidAndInflightQueries) {

@@ -34,6 +34,25 @@ TEST(Trace, BreakdownPerDevice) {
   EXPECT_DOUBLE_EQ(t.breakdown(0).kernel, 2.0);
   EXPECT_DOUBLE_EQ(t.breakdown(1).kernel, 1.0);
   EXPECT_DOUBLE_EQ(t.breakdown(1).htod, 0.0);
+
+  // The one-pass table adds each device's durations in record order, so
+  // its sums are bit-identical to breakdown(g)'s, inexact ones included.
+  Trace u = sample_trace();
+  const OpKind kinds[] = {OpKind::kHtoD, OpKind::kDtoH, OpKind::kPtoP,
+                          OpKind::kKernel};
+  for (int i = 1; i <= 60; ++i)
+    u.add({i % 3, kinds[i % 4], 0.1 * i, 0.1 * i + 1.0 / (i + 2), 0, 0.0, 0,
+           "op"});
+  const std::vector<Breakdown> per = u.per_device_breakdown(4);
+  ASSERT_EQ(per.size(), 4u);
+  for (int g = 0; g < 4; ++g) {
+    const Breakdown b = u.breakdown(g);
+    EXPECT_EQ(per[g].htod, b.htod) << g;
+    EXPECT_EQ(per[g].dtoh, b.dtoh) << g;
+    EXPECT_EQ(per[g].ptop, b.ptop) << g;
+    EXPECT_EQ(per[g].kernel, b.kernel) << g;
+  }
+  EXPECT_EQ(per[3].total(), 0.0);
 }
 
 TEST(Trace, SpanAndBytes) {

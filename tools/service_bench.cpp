@@ -292,9 +292,9 @@ RunOut run_soak(const Cfg& cfg, const svc::ArrivalTrace& trace,
   }
 
   double util_sum = 0.0;
-  for (int g = 0; g < plat.num_gpus(); ++g) {
-    const double busy = plat.trace().breakdown(g).kernel;
-    const double u = out.span > 0.0 ? busy / out.span : 0.0;
+  for (const trace::Breakdown& b :
+       plat.trace().per_device_breakdown(plat.num_gpus())) {
+    const double u = out.span > 0.0 ? b.kernel / out.span : 0.0;
     out.util.push_back(u);
     util_sum += u;
   }
