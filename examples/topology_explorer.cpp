@@ -1,8 +1,9 @@
 // Topology explorer: how the node's interconnect shapes the value of the
 // two heuristics.  Runs the same DGEMM workload on four node models
 // (DGX-1, PCIe-only, NVSwitch, Summit-like) with the heuristics on and
-// off, through the public API -- a compact version of bench/ext_topologies
-// that an application developer can adapt to their own machine model.
+// off, through the public API -- a compact version of paper_report's
+// ext_topologies section that an application developer can adapt to their
+// own machine model.
 #include <cstdio>
 
 #include "core/xkblas.hpp"

@@ -51,7 +51,8 @@ class Topology {
   /// A Summit/Sierra-like node: NVLink between CPU and GPU (50 GB/s per
   /// GPU), GPUs grouped per socket.  The paper predicts the optimistic
   /// heuristic gains little here because host links are no longer the
-  /// bottleneck -- bench/ext_topologies tests that prediction.
+  /// bottleneck -- paper_report's ext_topologies section tests that
+  /// prediction.
   static Topology summit_like();
 
   /// Route any machine description (throws std::invalid_argument if some

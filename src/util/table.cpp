@@ -42,16 +42,24 @@ std::string Table::to_text() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
+std::string Table::to_markdown() const {
   std::ostringstream out;
   auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ',';
-      out << row[c];
+    out << '|';
+    for (const std::string& cell : row) {
+      out << ' ';
+      for (char c : cell) {
+        if (c == '|') out << '\\';
+        out << c;
+      }
+      out << " |";
     }
     out << '\n';
   };
   emit(header_);
+  out << '|';
+  for (std::size_t c = 0; c < header_.size(); ++c) out << "---|";
+  out << '\n';
   for (const auto& row : rows_) emit(row);
   return out.str();
 }

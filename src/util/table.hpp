@@ -1,6 +1,5 @@
-// Plain-text table rendering for the benchmark harness: the figure/table
-// binaries print the same rows/series the paper reports, in aligned columns
-// plus optional CSV for plotting.
+// Table rendering for the tools: aligned columns for a terminal, or a
+// GitHub markdown table for the generated blocks of EXPERIMENTS.md.
 #pragma once
 
 #include <string>
@@ -19,8 +18,9 @@ class Table {
 
   /// Aligned fixed-width rendering.
   std::string to_text() const;
-  /// Comma-separated rendering (for plotting scripts).
-  std::string to_csv() const;
+  /// GitHub-flavoured markdown: header, `|---|` rule, one line per row;
+  /// a `|` inside a cell is escaped.
+  std::string to_markdown() const;
 
  private:
   std::vector<std::string> header_;

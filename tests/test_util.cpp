@@ -157,10 +157,10 @@ TEST(Table, AlignedText) {
   EXPECT_NE(text.find("3.14"), std::string::npos);
 }
 
-TEST(Table, Csv) {
+TEST(Table, Markdown) {
   Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
+  t.add_row({"1", "x|y"});
+  EXPECT_EQ(t.to_markdown(), "| a | b |\n|---|---|\n| 1 | x\\|y |\n");
 }
 
 TEST(Flops, RoutineCounts) {

@@ -39,9 +39,10 @@
 //
 // --append keeps the prior artifacts' trajectory arrays: each emitted file
 // carries "trajectory": [...points keyed by git describe...] and --append
-// re-parses the existing file, preserves its points, and adds this run's.
-// A new point whose events/sec falls >= 15% below the previous one prints
-// a regression warning (stderr; the hard gates stay --min-speedup and CI).
+// keeps the existing file's points byte for byte and adds this run's.
+// A new point whose events/sec falls >= 15% below the previous point of
+// the same mode prints a regression warning (stderr; the hard gates stay
+// --min-speedup and CI).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -56,8 +57,8 @@
 #include "baselines/workload_entry.hpp"
 #include "obs/provenance.hpp"
 #include "sim/engine.hpp"
+#include "trajectory.hpp"
 #include "util/flops.hpp"
-#include "util/json.hpp"
 #include "util/selfprof.hpp"
 #include "workload/workload.hpp"
 
@@ -256,46 +257,6 @@ double eps_of(const ChurnResult& r) {
   return r.seconds > 0.0 ? static_cast<double>(r.events) / r.seconds : 0.0;
 }
 
-// Prior trajectory points recovered from an existing artifact (--append),
-// plus the newest prior events/sec for the regression warning.
-struct Trajectory {
-  std::vector<std::string> points;  ///< serialized JSON objects, oldest first
-  double prev_eps = -1.0;
-};
-
-Trajectory load_trajectory(const std::string& path) {
-  Trajectory t;
-  try {
-    const util::JsonValue doc = util::json_parse_file(path);
-    if (const util::JsonValue* traj = doc.find("trajectory")) {
-      for (const util::JsonValue& p : traj->as_array()) {
-        t.points.push_back(util::json_dump(p));
-        t.prev_eps = p.number_or("events_per_sec", t.prev_eps);
-      }
-    }
-  } catch (const std::exception&) {
-    // Missing file or pre-trajectory schema: start a fresh trajectory.
-  }
-  return t;
-}
-
-/// Emit "trajectory": [prior..., current] (current last = newest).
-void emit_trajectory(std::FILE* f, const Trajectory& t,
-                     const std::string& current) {
-  std::fprintf(f, "  \"trajectory\": [\n");
-  for (const std::string& p : t.points)
-    std::fprintf(f, "    %s,\n", p.c_str());
-  std::fprintf(f, "    %s\n  ],\n", current.c_str());
-}
-
-void warn_regression(const char* what, const Trajectory& t, double eps) {
-  if (t.prev_eps > 0.0 && eps < 0.85 * t.prev_eps)
-    std::fprintf(stderr,
-                 "WARNING: %s events/sec regressed %.1f%% vs the previous "
-                 "trajectory point (%.0f -> %.0f)\n",
-                 what, 100.0 * (1.0 - eps / t.prev_eps), t.prev_eps, eps);
-}
-
 std::string trajectory_point(const obs::Provenance& prov, const char* mode,
                              double eps, const char* extra_key,
                              double extra_val) {
@@ -311,10 +272,11 @@ std::string trajectory_point(const obs::Provenance& prov, const char* mode,
 void emit_engine_json(std::FILE* f, const char* mode, std::uint64_t events,
                       int reps, const std::vector<DepthPoint>& points,
                       bool all_identical, const std::string& prov,
-                      const Trajectory& traj, const std::string& cur_point) {
+                      const trajectory::Trajectory& traj,
+                      const std::string& cur_point) {
   std::fprintf(f, "{\n  \"schema\": \"xkb.bench.engine/2\",\n");
   std::fprintf(f, "  \"provenance\": %s,\n", prov.c_str());
-  emit_trajectory(f, traj, cur_point);
+  trajectory::emit(f, traj, cur_point);
   std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
   std::fprintf(f, "  \"churn\": {\"events\": %llu, \"reps\": %d},\n",
                static_cast<unsigned long long>(events), reps);
@@ -361,7 +323,8 @@ void emit_engine_json(std::FILE* f, const char* mode, std::uint64_t events,
 void emit_e2e_json(std::FILE* f, const char* mode, std::size_t n,
                    std::size_t tile, const std::vector<E2eRow>& rows,
                    int overhead_reps, double check_ratio, double obs_ratio,
-                   const std::string& prov, const Trajectory& traj,
+                   const std::string& prov,
+                   const trajectory::Trajectory& traj,
                    const std::string& cur_point) {
   auto aggregate = [&](const char* kind, double* wall, double* events,
                        std::size_t* count) {
@@ -377,7 +340,7 @@ void emit_e2e_json(std::FILE* f, const char* mode, std::size_t n,
   };
   std::fprintf(f, "{\n  \"schema\": \"xkb.bench.e2e/2\",\n");
   std::fprintf(f, "  \"provenance\": %s,\n", prov.c_str());
-  emit_trajectory(f, traj, cur_point);
+  trajectory::emit(f, traj, cur_point);
   std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
   for (const char* kind : {"blas", "workload"}) {
     const bool blas = std::strcmp(kind, "blas") == 0;
@@ -513,9 +476,9 @@ int main(int argc, char** argv) {
     const obs::Provenance prov =
         obs::Provenance::current("xkb.bench.engine", 2, 0);
     const double gate_eps = eps_of(points.back().cal);
-    Trajectory traj;
-    if (append) traj = load_trajectory(out_engine);
-    warn_regression("engine calendar", traj, gate_eps);
+    trajectory::Trajectory traj;
+    if (append) traj = trajectory::load(out_engine, "events_per_sec", mode);
+    trajectory::warn_regression("engine calendar events/sec", traj, gate_eps);
     const std::string cur = trajectory_point(
         prov, mode, gate_eps, "speedup",
         gate_eps / eps_of(points.back().legacy));
@@ -610,9 +573,9 @@ int main(int argc, char** argv) {
         ++blas_count;
       }
     const double e2e_eps = blas_wall_t > 0.0 ? blas_events / blas_wall_t : 0.0;
-    Trajectory traj;
-    if (append) traj = load_trajectory(out_e2e);
-    warn_regression("e2e fig5", traj, e2e_eps);
+    trajectory::Trajectory traj;
+    if (append) traj = trajectory::load(out_e2e, "events_per_sec", mode);
+    trajectory::warn_regression("e2e fig5 events/sec", traj, e2e_eps);
     const std::string cur = trajectory_point(
         prov, mode, e2e_eps, "runs_per_sec",
         blas_wall_t > 0.0 ? blas_count / blas_wall_t : 0.0);

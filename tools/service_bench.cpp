@@ -43,7 +43,7 @@
 #include "svc/svc.hpp"
 #include "tdl/presets.hpp"
 #include "topo/topology.hpp"
-#include "util/json.hpp"
+#include "trajectory.hpp"
 #include "workload/workload.hpp"
 
 using namespace xkb;
@@ -309,27 +309,6 @@ RunOut run_soak(const Cfg& cfg, const svc::ArrivalTrace& trace,
 
 // --- artifact ------------------------------------------------------------
 
-struct Trajectory {
-  std::vector<std::string> points;
-  double prev_jps = -1.0;
-};
-
-Trajectory load_trajectory(const std::string& path) {
-  Trajectory t;
-  try {
-    const util::JsonValue doc = util::json_parse_file(path);
-    if (const util::JsonValue* traj = doc.find("trajectory")) {
-      for (const util::JsonValue& p : traj->as_array()) {
-        t.points.push_back(util::json_dump(p));
-        t.prev_jps = p.number_or("jobs_per_sec", t.prev_jps);
-      }
-    }
-  } catch (const std::exception&) {
-    // Missing file or pre-trajectory schema: start a fresh trajectory.
-  }
-  return t;
-}
-
 void emit_tenant(std::FILE* f, const TenantOut& t, bool last) {
   const svc::TenantStats& s = t.stats;
   std::fprintf(
@@ -362,7 +341,8 @@ void emit_tenant(std::FILE* f, const TenantOut& t, bool last) {
 }
 
 void emit_json(std::FILE* f, const Cfg& cfg, const svc::ArrivalTrace& trace,
-               const RunOut& r, const Trajectory& traj, int rerun_identical) {
+               const RunOut& r, const trajectory::Trajectory& traj,
+               int rerun_identical) {
   const obs::Provenance prov =
       obs::Provenance::current("xkb.bench.service", 1, trace.seed);
   const double jps =
@@ -375,15 +355,12 @@ void emit_json(std::FILE* f, const Cfg& cfg, const svc::ArrivalTrace& trace,
 
   std::fprintf(f, "{\n  \"schema\": \"xkb.bench.service/1\",\n");
   std::fprintf(f, "  \"provenance\": %s,\n", prov.to_json().c_str());
-  std::fprintf(f, "  \"trajectory\": [\n");
-  for (const std::string& p : traj.points)
-    std::fprintf(f, "    %s,\n", p.c_str());
   char cur[320];
   std::snprintf(cur, sizeof cur,
                 "{\"git\": \"%s\", \"date\": \"%s\", \"mode\": \"%s\", "
                 "\"jobs_per_sec\": %.0f, \"p50_ms\": %.3f, \"p99_ms\": %.3f}",
                 prov.git.c_str(), prov.date.c_str(), cfg.mode, jps, p50, p99);
-  std::fprintf(f, "    %s\n  ],\n", cur);
+  trajectory::emit(f, traj, cur);
   std::fprintf(f, "  \"mode\": \"%s\",\n  \"policy\": \"%s\",\n", cfg.mode,
                svc::to_string(cfg.policy));
   std::fprintf(
@@ -633,8 +610,9 @@ int main(int argc, char** argv) {
       f << r.ledger_json;
     }
     if (!cfg.json_path.empty()) {
-      Trajectory traj;
-      if (cfg.append) traj = load_trajectory(cfg.json_path);
+      trajectory::Trajectory traj;
+      if (cfg.append)
+        traj = trajectory::load(cfg.json_path, "jobs_per_sec", cfg.mode);
       std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
       if (!f) {
         std::fprintf(stderr, "service_bench: cannot write '%s'\n",
@@ -643,14 +621,10 @@ int main(int argc, char** argv) {
       }
       emit_json(f, cfg, trace, r, traj, rerun_identical);
       std::fclose(f);
-      const double jps =
+      trajectory::warn_regression(
+          "jobs/sec", traj,
           r.span > 0.0 ? static_cast<double>(r.stats.completed) / r.span
-                       : 0.0;
-      if (traj.prev_jps > 0.0 && jps < 0.85 * traj.prev_jps)
-        std::fprintf(stderr,
-                     "WARNING: jobs/sec regressed %.1f%% vs the previous "
-                     "trajectory point (%.0f -> %.0f)\n",
-                     100.0 * (1.0 - jps / traj.prev_jps), traj.prev_jps, jps);
+                       : 0.0);
     }
 
     if (rerun_identical == 0) {

@@ -41,7 +41,7 @@
 #include "runtime/runtime.hpp"
 #include "tdl/presets.hpp"
 #include "topo/topology.hpp"
-#include "util/json.hpp"
+#include "trajectory.hpp"
 #include "workload/bridge.hpp"
 #include "workload/workload.hpp"
 
@@ -146,25 +146,6 @@ struct SizePoint {
   }
 };
 
-// ------------------------------------------------- trajectory (--append) --
-
-struct Trajectory {
-  std::vector<std::string> points;
-};
-
-Trajectory load_trajectory(const std::string& path) {
-  Trajectory t;
-  try {
-    const util::JsonValue doc = util::json_parse_file(path);
-    if (const util::JsonValue* traj = doc.find("trajectory"))
-      for (const util::JsonValue& p : traj->as_array())
-        t.points.push_back(util::json_dump(p));
-  } catch (const std::exception&) {
-    // Missing file or older schema: start fresh.
-  }
-  return t;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -264,7 +245,8 @@ int main(int argc, char** argv) {
 
   const obs::Provenance prov =
       obs::Provenance::current("xkb.bench.topo", 1);
-  const Trajectory traj = append ? load_trajectory(out) : Trajectory{};
+  const trajectory::Trajectory traj =
+      append ? trajectory::load(out) : trajectory::Trajectory{};
   char cur[320];
   std::snprintf(cur, sizeof cur,
                 "{\"git\": \"%s\", \"date\": \"%s\", \"mode\": \"%s\", "
@@ -282,10 +264,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n  \"schema\": \"xkb.bench.topo/1\",\n");
   std::fprintf(f, "  \"provenance\": %s,\n", prov.to_json().c_str());
-  std::fprintf(f, "  \"trajectory\": [\n");
-  for (const std::string& p : traj.points)
-    std::fprintf(f, "    %s,\n", p.c_str());
-  std::fprintf(f, "    %s\n  ],\n", cur);
+  trajectory::emit(f, traj, cur);
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"points\": [\n");
   for (std::size_t i = 0; i < sizes.size(); ++i) {
