@@ -63,11 +63,10 @@ RoutinePlan plan_routine(rt::Runtime& runtime, Blas3 routine, std::size_t n,
 /// Builds a run's plan against the runtime the skeleton configured.
 using PlanBuilder = std::function<RoutinePlan(rt::Runtime&)>;
 
-/// The run skeleton: platform and runtime configured from `spec` and `cfg`,
-/// the plan submitted under cfg's scenario and timed, results captured
-/// (transfers, check verdict, obs artifacts, fault counters, flight dump
-/// on failure).  `id` names the run in ledgers and flight dumps; its lib,
-/// scenario and seed are filled in here.
+/// The run skeleton: a Session from `spec` and `cfg`, the plan submitted
+/// under cfg's scenario and timed, results captured (Session::capture, or
+/// Session::fail with the flight dump).  `id` names the run in ledgers and
+/// flight dumps; its lib, scenario and seed are filled in here.
 BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
                      obs::LedgerMeta id, const PlanBuilder& build);
 

@@ -5,7 +5,8 @@
 // library_model.cpp (Fig. 5 order, keyed by CLI name, with the reason for
 // every knob); every run of a model -- a BLAS routine, the Fig. 8
 // composition or a generic workload -- goes through the one run skeleton
-// in run.cpp.
+// in run.cpp, and every driver that runs its own body (the service soak,
+// the scale-out sweep) wires its runtime through the same Session.
 //
 // | Library          | Placement              | Sources        | Extras |
 // |------------------|------------------------|----------------|--------|
@@ -20,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,8 +29,9 @@
 
 #include "check/check.hpp"
 #include "fault/fault.hpp"
+#include "obs/ledger.hpp"
 #include "obs/obs.hpp"
-#include "runtime/data_manager.hpp"
+#include "runtime/runtime.hpp"
 #include "topo/topology.hpp"
 #include "trace/trace.hpp"
 #include "util/flops.hpp"
@@ -36,7 +39,9 @@
 namespace xkb::baselines {
 
 /// How a model places, sources and moves data: the policy knobs that
-/// distinguish the libraries of the paper's comparison.
+/// distinguish the libraries of the paper's comparison.  A default ModelSpec
+/// is the bare runtime: owner-computes with stealing, default heuristics and
+/// the rt::PlatformOptions / rt::RuntimeOptions defaults.
 struct ModelSpec {
   std::string name;
   bool dmdas = false;            ///< dmdas scheduler instead of owner+WS
@@ -70,8 +75,9 @@ struct RunConfig {
   /// enabled the result carries the checker verdict and event-stream hash.
   check::CheckConfig check;
   /// Opt-in observability layer (metrics registry, link probes, decision
-  /// trace).  When enabled the result carries the metrics JSON, the ledger,
-  /// the live Observability instance and the run's trace.
+  /// trace).  When enabled the result carries the live Observability
+  /// instance, the run's trace and topology, from which report() and
+  /// ledger() build the exports on demand.
   obs::ObsConfig obs;
   /// Opt-in fault plan (xkb::fault).  Non-empty plans arm a deterministic
   /// Injector before the run; recovery statistics and injector counters
@@ -120,22 +126,67 @@ struct BenchResult {
   std::size_t check_violations = 0;
   std::string check_report;
   std::uint64_t event_hash = 0;  ///< FNV-1a over the simulated event stream
-  // Populated only when RunConfig::obs.enabled was set.
-  std::string metrics_json;  ///< report_json: span/links/critical-path/metrics
-  std::string ledger_json;   ///< RunLedger artifact (schema xkb.obs.ledger/1)
   /// Flight-recorder dump (schema xkb.obs.flight/1): last-N observable
   /// events + decisions + fault marks with a ledger snapshot.  Written only
   /// when the run failed or the checker flagged a violation -- a clean run
   /// leaves it empty.
   std::string flight_json;
+  // Populated only when RunConfig::obs.enabled was set.
   std::shared_ptr<obs::Observability> obs;  ///< the live measurement layer
   /// The measured region's op trace (Gantt charts, Chrome export, critical
   /// path); kept for completed runs only.
   std::shared_ptr<const trace::Trace> trace;
+  /// The machine as the run left it (fault plans demote links and fail
+  /// devices); kept with the trace.
+  std::shared_ptr<const topo::Topology> topology;
   // Populated only when RunConfig::fault_plan was non-empty.
   std::size_t task_remaps = 0;   ///< tasks migrated off a failed device
   std::size_t task_replays = 0;  ///< producers re-run to rebuild lost tiles
   std::string fault_json;  ///< injector counters + runtime recovery stats
+
+  /// A completed observed run's report (obs::report_json renders the
+  /// metrics export), built from the kept trace, topology and obs layer.
+  obs::RunReport report() const;
+  /// The run's ledger (schema xkb.obs.ledger/1) around `report`, named by
+  /// the meta the run registered on its obs layer.
+  obs::RunLedger ledger(obs::RunReport report) const;
+};
+
+/// One run's wiring, shared by every driver: validates `cfg`, builds the
+/// platform, attaches obs (registering `id` as the ledger meta) and the
+/// fault injector before the runtime, and picks `spec`'s scheduler.  The
+/// caller submits work to runtime() and runs it, then reads the result back
+/// with capture(), or with fail() when the run threw.
+class Session {
+ public:
+  Session(const ModelSpec& spec, const RunConfig& cfg, obs::LedgerMeta id);
+  ~Session();
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  rt::Platform& platform() { return *plat_; }
+  rt::Runtime& runtime() { return *runtime_; }
+  /// Null unless cfg.obs is on.
+  obs::Observability* obs() const { return obs_.get(); }
+
+  /// What a finished run leaves: breakdowns, transfers, event counters,
+  /// fault counters, the checker verdict and hash and, when observed, the
+  /// obs layer, trace and topology (moved out of the platform; capture
+  /// once).  A checker violation composes the flight dump.
+  void capture(BenchResult& res);
+  /// A run that threw `e` (out of device memory, a FaultError): `res` fails
+  /// with its message and, when observed, carries the flight dump named
+  /// "<kind>: <message>".
+  void fail(BenchResult& res, const char* kind, const std::exception& e);
+
+ private:
+  void compose_flight(BenchResult& res, const std::string& reason);
+
+  // Destroyed bottom up: the runtime first, the platform last.
+  std::unique_ptr<rt::Platform> plat_;
+  std::shared_ptr<obs::Observability> obs_;
+  std::unique_ptr<fault::Injector> inj_;
+  std::unique_ptr<rt::Runtime> runtime_;
 };
 
 /// One library of the comparison: its ModelSpec, run through the shared

@@ -1,6 +1,7 @@
-// The one run skeleton (platform -> runtime -> plan -> run -> capture) and
-// the plans it runs: the paper's BLAS benchmarks and the Fig. 8
-// composition.  Workload plans live in workload_entry.cpp.
+// The run Session every driver wires its runtime with, the one run skeleton
+// (session -> plan -> run -> capture) and the plans it runs: the paper's
+// BLAS benchmarks and the Fig. 8 composition.  Workload plans live in
+// workload_entry.cpp.
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
@@ -167,31 +168,38 @@ RoutinePlan plan_routine(rt::Runtime& runtime, Blas3 routine, std::size_t n,
   return plan;
 }
 
-BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
-                     obs::LedgerMeta id, const PlanBuilder& build) {
-  cfg.validate();
-  BenchResult res;
+obs::RunReport BenchResult::report() const {
+  return obs::build_report(*trace, *topology, obs.get());
+}
 
+obs::RunLedger BenchResult::ledger(obs::RunReport report) const {
+  return obs::build_ledger(std::move(report), obs.get(), event_hash,
+                           obs->ledger_meta());
+}
+
+Session::Session(const ModelSpec& spec, const RunConfig& cfg,
+                 obs::LedgerMeta id) {
+  cfg.validate();
   rt::PerfModel perf;
   perf.peak_flops_dp *= spec.peak_scale;
-
   rt::PlatformOptions popt;
   popt.device_capacity = cfg.device_capacity;
   popt.eviction = spec.eviction;
-  rt::Platform plat(cfg.topology, perf, popt);
+  plat_ = std::make_unique<rt::Platform>(cfg.topology, perf, popt);
 
-  std::shared_ptr<obs::Observability> o;
   if (cfg.obs.enabled) {
-    o = std::make_shared<obs::Observability>(plat.num_gpus());
-    plat.set_obs(o.get());  // before the Runtime: it caches series pointers
+    obs_ = std::make_shared<obs::Observability>(plat_->num_gpus());
+    // Before the Runtime: it caches series pointers.
+    plat_->set_obs(obs_.get());
+    // Registered up front, so a watchdog-stall dump composed inside the
+    // runtime still names the run.
+    obs_->set_ledger_meta(std::move(id));
   }
-
-  std::unique_ptr<fault::Injector> inj;
   if (!cfg.fault_plan.empty()) {
-    inj = std::make_unique<fault::Injector>(cfg.fault_plan);
+    inj_ = std::make_unique<fault::Injector>(cfg.fault_plan);
     // Before the Runtime: its constructor binds the device-fail hook and
     // arms the plan's silent events against the engine.
-    plat.set_fault(inj.get());
+    plat_->set_fault(inj_.get());
   }
 
   rt::RuntimeOptions ropt;
@@ -205,68 +213,38 @@ BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
     sched = std::make_unique<rt::DmdasScheduler>();
   else
     sched = std::make_unique<rt::OwnerComputesScheduler>(spec.stealing);
-  rt::Runtime runtime(plat, std::move(sched), ropt);
+  runtime_ = std::make_unique<rt::Runtime>(*plat_, std::move(sched), ropt);
+}
 
-  RoutinePlan plan = build(runtime);
+Session::~Session() = default;
 
-  id.lib = spec.name;
-  id.scenario = cfg.data_on_device ? "data-on-device" : "data-on-host";
-  id.seed = inj ? cfg.fault_plan.seed : 0;
-  // Register the run identity so a watchdog-stall dump composed inside the
-  // runtime still names the lib/routine.
-  if (o) o->set_ledger_meta(id);
-  // Compose a flight-recorder dump at a failure site.  Runtime::on_stuck
-  // stashes its own dump (with the pre-stall ledger snapshot) before the
-  // StuckProgress throw; "first dump wins", so this only fills in for
-  // failures that bypassed on_stuck (OOM, retries exhausted, data loss,
-  // checker violations seen after the run).
-  const auto compose_flight = [&](const std::string& reason) {
-    if (!o) return;
-    if (o->flight_dump().empty()) {
-      o->finalize_registry(plat.trace());
-      const obs::RunLedger snap =
-          obs::build_ledger(plat.trace(), plat.topology(), o.get(), 0, id);
-      o->set_flight_dump(o->flight().dump_json(reason, obs::ledger_json(snap)));
-    }
-    res.flight_json = o->flight_dump();
-    res.obs = o;
-  };
-
-  double t0 = 0.0;
-  try {
-    if (cfg.data_on_device) {
-      plan.distribute();
-      // run() reports the last *observable* instant: pending silent fault
-      // events must not inflate the distribution phase's end time.
-      t0 = runtime.run();
-      plat.trace().clear();
-      if (o) o->clear();  // observe only the measured (compute) phase
-    }
-    plan.emit();
-    if (!cfg.data_on_device) plan.coherent();
-    const double t1 = runtime.run();
-    double seconds = t1 - t0;
-    seconds += spec.call_overhead * plan.calls;
-    if (spec.lapack_conversion)
-      seconds += (plan.input_bytes + plan.output_bytes) / perf.host_conv_bw;
-    res.seconds = seconds;
-    res.tflops = plan.flops / seconds / 1e12;
-  } catch (const mem::OutOfDeviceMemory& e) {
-    res.failed = true;
-    res.error = e.what();
-    compose_flight(std::string("oom: ") + e.what());
-    return res;
-  } catch (const fault::FaultError& e) {
-    // Failed-but-diagnosed: the recovery machinery hit its documented
-    // limits (retries exhausted, unrecoverable dirty loss, stuck run).
-    res.failed = true;
-    res.error = e.what();
-    res.task_remaps = runtime.task_remaps();
-    res.task_replays = runtime.task_replays();
-    compose_flight(std::string("fault: ") + e.what());
-    return res;
+// Runtime::on_stuck stashes its own dump (with the pre-stall ledger
+// snapshot) before the StuckProgress throw; "first dump wins", so this only
+// fills in for failures that bypassed on_stuck (OOM, retries exhausted,
+// data loss, checker violations seen after the run).
+void Session::compose_flight(BenchResult& res, const std::string& reason) {
+  if (!obs_) return;
+  if (obs_->flight_dump().empty()) {
+    obs_->finalize_registry(plat_->trace());
+    const obs::RunLedger snap = obs::build_ledger(
+        plat_->trace(), plat_->topology(), obs_.get(), 0, obs_->ledger_meta());
+    obs_->set_flight_dump(
+        obs_->flight().dump_json(reason, obs::ledger_json(snap)));
   }
+  res.flight_json = obs_->flight_dump();
+  res.obs = obs_;
+}
 
+void Session::fail(BenchResult& res, const char* kind,
+                   const std::exception& e) {
+  res.failed = true;
+  res.error = e.what();
+  compose_flight(res, std::string(kind) + ": " + e.what());
+}
+
+void Session::capture(BenchResult& res) {
+  rt::Platform& plat = *plat_;
+  rt::Runtime& runtime = *runtime_;
   res.breakdown = plat.trace().breakdown();
   res.per_gpu = plat.trace().per_device_breakdown(plat.num_gpus());
   res.transfers = runtime.data_manager().stats();
@@ -275,13 +253,13 @@ BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
   res.events_processed = plat.engine().events_processed();
   res.events_observable = plat.engine().observable_processed();
   res.events_peak_pending = plat.engine().peak_pending();
-  if (inj) {
+  if (inj_) {
     res.task_remaps = runtime.task_remaps();
     res.task_replays = runtime.task_replays();
     const rt::TransferStats& ts = res.transfers;
     std::ostringstream js;
-    js << "{\"injector\":" << inj->counters_json()
-       << ",\"unconsumed_xfail\":" << inj->unconsumed_transfer_faults()
+    js << "{\"injector\":" << inj_->counters_json()
+       << ",\"unconsumed_xfail\":" << inj_->unconsumed_transfer_faults()
        << ",\"recovery\":{\"transfer_aborts\":" << ts.transfer_aborts
        << ",\"transfer_retries\":" << ts.transfer_retries
        << ",\"waiter_replans\":" << ts.waiter_replans
@@ -295,18 +273,61 @@ BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
     res.check_report = c->report();
     res.event_hash = c->event_hash();
   }
-  if (o) {
-    o->finalize_registry(plat.trace());
-    const obs::RunReport rep =
-        obs::build_report(plat.trace(), plat.topology(), o.get());
-    res.metrics_json = obs::report_json(rep, o.get());
-    res.ledger_json = obs::ledger_json(obs::build_ledger(
-        plat.trace(), plat.topology(), o.get(), res.event_hash, id));
-    res.obs = o;
+  if (obs_) {
+    obs_->finalize_registry(plat.trace());
+    res.obs = obs_;
   }
-  if (!res.check_ok) compose_flight("checker-violation");
+  if (!res.check_ok) compose_flight(res, "checker-violation");
   // Last: the flight dump above may still snapshot the platform's trace.
-  if (o) res.trace = std::make_shared<trace::Trace>(std::move(plat.trace()));
+  if (obs_) {
+    res.trace = std::make_shared<trace::Trace>(std::move(plat.trace()));
+    res.topology = std::make_shared<topo::Topology>(plat.topology());
+  }
+}
+
+BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
+                     obs::LedgerMeta id, const PlanBuilder& build) {
+  id.lib = spec.name;
+  id.scenario = cfg.data_on_device ? "data-on-device" : "data-on-host";
+  id.seed = cfg.fault_plan.empty() ? 0 : cfg.fault_plan.seed;
+  Session session(spec, cfg, std::move(id));
+  rt::Runtime& runtime = session.runtime();
+  RoutinePlan plan = build(runtime);
+
+  BenchResult res;
+  double t0 = 0.0;
+  try {
+    if (cfg.data_on_device) {
+      plan.distribute();
+      // run() reports the last *observable* instant: pending silent fault
+      // events must not inflate the distribution phase's end time.
+      t0 = runtime.run();
+      session.platform().trace().clear();
+      // Observe only the measured (compute) phase.
+      if (session.obs()) session.obs()->clear();
+    }
+    plan.emit();
+    if (!cfg.data_on_device) plan.coherent();
+    const double t1 = runtime.run();
+    double seconds = t1 - t0;
+    seconds += spec.call_overhead * plan.calls;
+    if (spec.lapack_conversion)
+      seconds += (plan.input_bytes + plan.output_bytes) /
+                 session.platform().perf().host_conv_bw;
+    res.seconds = seconds;
+    res.tflops = plan.flops / seconds / 1e12;
+  } catch (const mem::OutOfDeviceMemory& e) {
+    session.fail(res, "oom", e);
+    return res;
+  } catch (const fault::FaultError& e) {
+    // Failed-but-diagnosed: the recovery machinery hit its documented
+    // limits (retries exhausted, unrecoverable dirty loss, stuck run).
+    res.task_remaps = runtime.task_remaps();
+    res.task_replays = runtime.task_replays();
+    session.fail(res, "fault", e);
+    return res;
+  }
+  session.capture(res);
   return res;
 }
 

@@ -11,7 +11,7 @@ namespace xkb::baselines {
 
 /// Run `graph` under `spec`: the graph bridged through wl::Bridge as the
 /// skeleton's plan, results captured into the same BenchResult
-/// (transfers, check verdict, metrics JSON, fault counters).
+/// (transfers, check verdict, obs layer, fault counters).
 BenchResult run_workload(const ModelSpec& spec, const wl::WorkloadGraph& graph,
                          const RunConfig& cfg);
 

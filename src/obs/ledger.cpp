@@ -86,11 +86,17 @@ std::string render_decision(const Decision& d) {
 RunLedger build_ledger(const trace::Trace& tr, const topo::Topology& topo,
                        const Observability* o, std::uint64_t event_hash,
                        LedgerMeta meta) {
+  return build_ledger(build_report(tr, topo, o), o, event_hash,
+                      std::move(meta));
+}
+
+RunLedger build_ledger(RunReport report, const Observability* o,
+                       std::uint64_t event_hash, LedgerMeta meta) {
   RunLedger l;
   l.prov = Provenance::current(RunLedger::kSchema, RunLedger::kVersion,
                                meta.seed);
   l.meta = std::move(meta);
-  l.report = build_report(tr, topo, o);
+  l.report = std::move(report);
   l.event_hash = event_hash;
   l.link_queues.resize(l.report.links.size());
   if (o) {

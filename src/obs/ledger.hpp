@@ -62,6 +62,10 @@ struct RunLedger {
 RunLedger build_ledger(const trace::Trace& tr, const topo::Topology& topo,
                        const Observability* o, std::uint64_t event_hash,
                        LedgerMeta meta);
+/// The same around a report the caller already built from the run (with
+/// the same `o`), so a run that exports both builds its report once.
+RunLedger build_ledger(RunReport report, const Observability* o,
+                       std::uint64_t event_hash, LedgerMeta meta);
 
 /// Canonical JSON (schema xkb.obs.ledger/1, fixed key order, %.17g).
 std::string ledger_json(const RunLedger& l);

@@ -4,11 +4,16 @@
 // These run at a reduced size (N=16384, tile 2048) to stay fast.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "baselines/common.hpp"
 #include "baselines/library_model.hpp"
+#include "tdl/presets.hpp"
 #include "trace/gantt.hpp"
+#include "workload/bridge.hpp"
+#include "workload/workload.hpp"
 
 namespace xkb::baselines {
 namespace {
@@ -236,6 +241,53 @@ TEST(Composition, DataOnDeviceIsRejected) {
   EXPECT_THROW(
       run_composition(spec_for_library("xkblas"), 8192, 1024, false, cfg),
       std::invalid_argument);
+}
+
+// A default ModelSpec is the bare runtime: a Session runs the event stream
+// of a Platform and a Runtime wired by hand with every option at its
+// default, on topo_bench's 64-device point and on a dgx1 graph whose
+// devices steal and fill their prefetch windows.
+TEST(Session, DefaultSpecIsTheBareRuntime) {
+  tdl::FatTreeSpec ft;
+  ft.nodes = 4;
+  ft.gpus_per_node = 16;
+  const std::pair<topo::Topology, const char*> cases[] = {
+      {topo::Topology::from_machine(tdl::fat_tree_machine(ft)),
+       "stencil_1d:width=128,depth=8"},
+      {topo::Topology::dgx1(), "random:width=64,depth=8"},
+  };
+  for (const auto& [topo, spec] : cases) {
+    const wl::WorkloadGraph g = wl::build(wl::WorkloadSpec::parse(spec));
+    const auto run = [&g](rt::Runtime& runtime) {
+      wl::BridgeOptions bopt;
+      bopt.home = [n = runtime.num_gpus()](std::size_t i, std::size_t) {
+        return static_cast<int>(i % static_cast<std::size_t>(n));
+      };
+      wl::Bridge bridge(runtime, g, std::move(bopt));
+      bridge.emit();
+      bridge.coherent();
+      runtime.run();
+    };
+
+    rt::Platform plat(topo, rt::PerfModel{}, rt::PlatformOptions{});
+    rt::RuntimeOptions ropt;
+    ropt.check.enabled = true;
+    rt::Runtime by_hand(plat, std::make_unique<rt::OwnerComputesScheduler>(),
+                        ropt);
+    run(by_hand);
+    ASSERT_TRUE(by_hand.checker()->ok()) << by_hand.checker()->report();
+
+    RunConfig cfg;
+    cfg.topology = topo;
+    cfg.check.enabled = true;
+    Session session({}, cfg, {});
+    run(session.runtime());
+    BenchResult res;
+    session.capture(res);
+    EXPECT_TRUE(res.check_ok) << spec << ": " << res.check_report;
+    EXPECT_EQ(plat.engine().events_processed(), res.events_processed) << spec;
+    EXPECT_EQ(by_hand.checker()->event_hash(), res.event_hash) << spec;
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "baselines/common.hpp"
 #include "baselines/library_model.hpp"
@@ -609,8 +610,9 @@ TEST(ObsGolden, Syr2kDataOnDeviceMetricsAndLedger) {
       baselines::make_xkblas(rt::HeuristicConfig::xkblas())->run(cfg);
   ASSERT_FALSE(r.failed) << r.error;
   ASSERT_TRUE(r.check_ok) << r.check_report;
-  expect_golden("metrics_syr2k_dod.json", r.metrics_json);
-  expect_golden("ledger_syr2k_dod.json", r.ledger_json);
+  RunReport rep = r.report();
+  expect_golden("metrics_syr2k_dod.json", report_json(rep, r.obs.get()));
+  expect_golden("ledger_syr2k_dod.json", ledger_json(r.ledger(std::move(rep))));
 }
 
 // Aborts and retries feed the registry too: a seeded plan of transient
@@ -638,7 +640,8 @@ TEST(ObsGolden, GemmTransientFailuresMetrics) {
   ASSERT_TRUE(r.check_ok) << r.check_report;
   ASSERT_GT(r.transfers.transfer_aborts, 0u);
   ASSERT_GT(r.transfers.transfer_retries, 0u);
-  expect_golden("metrics_gemm_xfail.json", r.metrics_json);
+  expect_golden("metrics_gemm_xfail.json",
+                report_json(r.report(), r.obs.get()));
 }
 
 TEST(Export, HostileLabelsRoundTripThroughCsv) {
@@ -681,10 +684,10 @@ TEST(BenchObs, ModelRunPopulatesMetricsJsonAndReconcilesUnderCheck) {
     EXPECT_TRUE(r.check_ok) << r.check_report;
     ASSERT_TRUE(r.obs);
     ASSERT_TRUE(r.trace);
-    ASSERT_FALSE(r.metrics_json.empty());
-    EXPECT_NE(std::string::npos, r.metrics_json.find("\"critical_path\""));
-    EXPECT_NE(std::string::npos, r.metrics_json.find("\"metrics\""));
-    EXPECT_NE(std::string::npos, r.metrics_json.find("\"links\""));
+    const std::string metrics = report_json(r.report(), r.obs.get());
+    EXPECT_NE(std::string::npos, metrics.find("\"critical_path\""));
+    EXPECT_NE(std::string::npos, metrics.find("\"metrics\""));
+    EXPECT_NE(std::string::npos, metrics.find("\"links\""));
     expect_registry_matches_trace(*r.obs, *r.trace);
     EXPECT_EQ(r.breakdown.kernel,
               r.obs->metrics().counter_value("time.kernel"));
@@ -700,7 +703,8 @@ TEST(BenchObs, DisabledObsLeavesResultEmpty) {
   const baselines::BenchResult r = model->run(cfg);
   ASSERT_FALSE(r.failed);
   EXPECT_FALSE(r.obs);
-  EXPECT_TRUE(r.metrics_json.empty());
+  EXPECT_FALSE(r.trace);
+  EXPECT_FALSE(r.topology);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "baselines/common.hpp"
 #include "baselines/workload_entry.hpp"
+#include "obs/report.hpp"
 #include "workload/bridge.hpp"
 #include "workload/workload.hpp"
 
@@ -244,8 +245,10 @@ TEST(Bridge, ObsMetricsReconcileForWorkloads) {
       spec_for_library("xkblas", rt::HeuristicConfig::xkblas()), g, cfg);
   EXPECT_FALSE(r.failed) << r.error;
   EXPECT_TRUE(r.check_ok) << r.check_report;  // includes the obs reconcile
-  EXPECT_NE(r.metrics_json.find("\"links\""), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("\"critical_path\""), std::string::npos);
+  ASSERT_TRUE(r.obs);
+  const std::string metrics = obs::report_json(r.report(), r.obs.get());
+  EXPECT_NE(metrics.find("\"links\""), std::string::npos);
+  EXPECT_NE(metrics.find("\"critical_path\""), std::string::npos);
 }
 
 // A checker violation found after a workload run leaves the same flight

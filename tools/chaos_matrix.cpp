@@ -35,10 +35,12 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baselines/library_model.hpp"
+#include "cli_parse.hpp"
 #include "fault/fault.hpp"
 #include "obs/ledger.hpp"
 #include "obs/provenance.hpp"
@@ -52,16 +54,10 @@ namespace {
 
 struct Outcome {
   std::string lib, routine, scenario, fault;
-  bool completed = false;
-  bool check_ok = false;
-  bool diagnosed = false;  ///< failed with a FaultError diagnostic
-  std::string error;
-  double seconds = 0.0;
-  std::uint64_t event_hash = 0;
-  std::string fault_json;
-  std::size_t waiter_replans = 0;
-  std::size_t task_remaps = 0;
-  std::size_t task_replays = 0;
+  BenchResult r;
+  bool completed() const { return !r.failed; }
+  /// Failed with a diagnostic (a FaultError or an out-of-memory message).
+  bool diagnosed() const { return r.failed && !r.error.empty(); }
 };
 
 std::string json_escape(const std::string& s) {
@@ -138,17 +134,7 @@ Outcome run_one(const std::string& lib, Blas3 routine, bool dod,
 
   auto model = lib == "xkblas" ? make_xkblas(rt::HeuristicConfig::xkblas())
                                : make_chameleon(/*tile_layout=*/true);
-  const BenchResult r = model->run(cfg);
-  o.completed = !r.failed;
-  o.check_ok = r.check_ok;
-  o.diagnosed = r.failed && !r.error.empty();
-  o.error = r.error;
-  o.seconds = r.seconds;
-  o.event_hash = r.event_hash;
-  o.fault_json = r.fault_json;
-  o.waiter_replans = r.transfers.waiter_replans;
-  o.task_remaps = r.task_remaps;
-  o.task_replays = r.task_replays;
+  o.r = model->run(cfg);
   return o;
 }
 
@@ -218,14 +204,15 @@ int run_flight_probe(std::size_t n, std::size_t tile,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::size_t n = 8192, tile = 2048;
   std::string report_path, flight_out;
   bool flight_probe = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--n" && i + 1 < argc) n = std::stoul(argv[++i]);
-    else if (arg == "--tile" && i + 1 < argc) tile = std::stoul(argv[++i]);
+    if (arg == "--n" && i + 1 < argc) n = cli::parse_size(arg, argv[++i]);
+    else if (arg == "--tile" && i + 1 < argc)
+      tile = cli::parse_size(arg, argv[++i]);
     else if (arg == "--report" && i + 1 < argc) report_path = argv[++i];
     else if (arg == "--flight-probe") flight_probe = true;
     else if (arg == "--flight-out" && i + 1 < argc) flight_out = argv[++i];
@@ -253,41 +240,43 @@ int main(int argc, char** argv) {
       for (bool dod : {false, true}) {
         // Fault-free reference run: makespan + hash baseline.
         const Outcome base = run_one(lib, routine, dod, n, tile, {}, "none");
-        if (!base.completed || !base.check_ok) {
+        if (!base.completed() || !base.r.check_ok) {
           std::fprintf(stderr, "FAIL %s %s %s: fault-free reference run "
                        "broken: %s\n", lib, base.routine.c_str(),
-                       base.scenario.c_str(), base.error.c_str());
+                       base.scenario.c_str(), base.r.error.c_str());
           ++failures;
           continue;
         }
-        const double T = base.seconds;
+        const double T = base.r.seconds;
 
         for (const char* fname : faults) {
           const fault::FaultPlan plan =
               make_plan(fname, T, topo::Topology::dgx1().num_gpus());
           Outcome o = run_one(lib, routine, dod, n, tile, plan, fname);
           const bool transient = std::string(fname) != "device-fail";
+          const bool clean = o.completed() && o.r.check_ok;
+          const bool replanned = o.r.transfers.waiter_replans > 0;
           bool ok;
           if (transient) {
             // Degraded-but-alive faults must always complete cleanly.
-            ok = o.completed && o.check_ok;
+            ok = clean;
           } else {
             // Whole-GPU loss: clean completion or a precise diagnostic.
-            ok = (o.completed && o.check_ok) || (!o.completed && o.diagnosed);
-            if (o.completed && o.check_ok && o.waiter_replans > 0)
-              acceptance_hit = true;
+            ok = clean || o.diagnosed();
+            if (clean && replanned) acceptance_hit = true;
           }
           if (!ok) {
             ++failures;
             std::fprintf(stderr, "FAIL %s %s %s under %s: %s\n", lib,
                          o.routine.c_str(), o.scenario.c_str(), fname,
-                         o.completed ? "checker violations" : o.error.c_str());
+                         o.completed() ? "checker violations"
+                                       : o.r.error.c_str());
           }
           std::printf("%-14s %-5s %-14s %-13s %s%s\n", lib, o.routine.c_str(),
                       o.scenario.c_str(), fname,
-                      o.completed ? (o.check_ok ? "clean" : "VIOLATIONS")
-                                  : (o.diagnosed ? "diagnosed" : "CRASH"),
-                      (!transient && o.completed && o.waiter_replans > 0)
+                      o.completed() ? (o.r.check_ok ? "clean" : "VIOLATIONS")
+                                    : (o.diagnosed() ? "diagnosed" : "CRASH"),
+                      (!transient && o.completed() && replanned)
                           ? " [waiter-replan]" : "");
           outcomes.push_back(std::move(o));
         }
@@ -298,12 +287,12 @@ int main(int argc, char** argv) {
               make_plan("transfer-fail", T, topo::Topology::dgx1().num_gpus());
           const Outcome a = run_one(lib, routine, dod, n, tile, plan, "det");
           const Outcome b = run_one(lib, routine, dod, n, tile, plan, "det");
-          if (a.event_hash != b.event_hash || a.event_hash == 0) {
+          if (a.r.event_hash != b.r.event_hash || a.r.event_hash == 0) {
             determinism_ok = false;
             std::fprintf(stderr,
                          "FAIL determinism: %016llx != %016llx (%s %s)\n",
-                         static_cast<unsigned long long>(a.event_hash),
-                         static_cast<unsigned long long>(b.event_hash),
+                         static_cast<unsigned long long>(a.r.event_hash),
+                         static_cast<unsigned long long>(b.r.event_hash),
                          base.routine.c_str(), base.scenario.c_str());
           }
         }
@@ -325,13 +314,13 @@ int main(int argc, char** argv) {
       plan.seed = 42;
       fault::FaultEvent e;
       e.kind = fault::FaultKind::kDeviceFail;
-      e.t = f * probe.seconds;
+      e.t = f * probe.r.seconds;
       e.a = 1;
       plan.events.push_back(e);
       const Outcome o =
           run_one("xkblas", Blas3::kGemm, false, n, tile, plan,
                   "device-fail");
-      if (o.completed && o.check_ok && o.waiter_replans > 0)
+      if (o.completed() && o.r.check_ok && o.r.transfers.waiter_replans > 0)
         acceptance_hit = true;
       outcomes.push_back(o);
     }
@@ -353,13 +342,14 @@ int main(int argc, char** argv) {
       if (i) out << ",";
       out << "{\"lib\":\"" << o.lib << "\",\"routine\":\"" << o.routine
           << "\",\"scenario\":\"" << o.scenario << "\",\"fault\":\""
-          << o.fault << "\",\"completed\":" << (o.completed ? "true" : "false")
-          << ",\"check_ok\":" << (o.check_ok ? "true" : "false")
-          << ",\"seconds\":" << o.seconds << ",\"waiter_replans\":"
-          << o.waiter_replans << ",\"task_remaps\":" << o.task_remaps
-          << ",\"task_replays\":" << o.task_replays << ",\"error\":\""
-          << json_escape(o.error) << "\",\"fault\":"
-          << (o.fault_json.empty() ? "null" : o.fault_json) << "}";
+          << o.fault << "\",\"completed\":"
+          << (o.completed() ? "true" : "false")
+          << ",\"check_ok\":" << (o.r.check_ok ? "true" : "false")
+          << ",\"seconds\":" << o.r.seconds << ",\"waiter_replans\":"
+          << o.r.transfers.waiter_replans << ",\"task_remaps\":"
+          << o.r.task_remaps << ",\"task_replays\":" << o.r.task_replays
+          << ",\"error\":\"" << json_escape(o.r.error) << "\",\"fault\":"
+          << (o.r.fault_json.empty() ? "null" : o.r.fault_json) << "}";
     }
     out << "],\"acceptance_waiter_replan\":"
         << (acceptance_hit ? "true" : "false")
@@ -374,4 +364,8 @@ int main(int argc, char** argv) {
               determinism_ok ? "ok" : "BROKEN");
   if (failures || !determinism_ok) return 3;
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value, or a size BenchConfig::validate rejects.
+  std::fprintf(stderr, "chaos_matrix: %s\n", e.what());
+  return 2;
 }

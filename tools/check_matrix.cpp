@@ -20,9 +20,11 @@
 //                                profiler attached
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "baselines/library_model.hpp"
+#include "cli_parse.hpp"
 #include "util/flops.hpp"
 #include "util/selfprof.hpp"
 
@@ -56,13 +58,14 @@ double wall_seconds(const BenchConfig& cfg, bool checked, bool obs = false) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::size_t n = 8192, tile = 2048;
   bool overhead = false, obs = false, selfprof = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--n" && i + 1 < argc) n = std::stoul(argv[++i]);
-    else if (arg == "--tile" && i + 1 < argc) tile = std::stoul(argv[++i]);
+    if (arg == "--n" && i + 1 < argc) n = cli::parse_size(arg, argv[++i]);
+    else if (arg == "--tile" && i + 1 < argc)
+      tile = cli::parse_size(arg, argv[++i]);
     else if (arg == "--overhead") overhead = true;
     else if (arg == "--obs") obs = true;
     else if (arg == "--selfprof") selfprof = true;
@@ -191,4 +194,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value, or a size BenchConfig::validate rejects.
+  std::fprintf(stderr, "check_matrix: %s\n", e.what());
+  return 2;
 }

@@ -45,16 +45,19 @@
 // --min-speedup and CI).
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baselines/library_model.hpp"
 #include "baselines/workload_entry.hpp"
+#include "cli_parse.hpp"
 #include "obs/provenance.hpp"
 #include "sim/engine.hpp"
 #include "trajectory.hpp"
@@ -397,7 +400,7 @@ double overhead_wall(const BenchConfig& base, bool checked, bool obs,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool smoke = false, append = false, selfprof = false;
   std::string out_engine = "BENCH_engine.json";
   std::string out_e2e = "BENCH_e2e.json";
@@ -416,12 +419,13 @@ int main(int argc, char** argv) {
     else if (arg == "--out-selfprof" && i + 1 < argc)
       out_selfprof = argv[++i];
     else if (arg == "--churn-events" && i + 1 < argc)
-      churn_events = std::stoull(argv[++i]);
+      churn_events = cli::parse_size(arg, argv[++i]);
     else if (arg == "--churn-chains" && i + 1 < argc)
-      churn_chains = std::stoull(argv[++i]);
-    else if (arg == "--reps" && i + 1 < argc) reps = std::stoi(argv[++i]);
+      churn_chains = cli::parse_size(arg, argv[++i]);
+    else if (arg == "--reps" && i + 1 < argc)
+      reps = static_cast<int>(cli::parse_size(arg, argv[++i], INT_MAX));
     else if (arg == "--min-speedup" && i + 1 < argc)
-      min_speedup = std::stod(argv[++i]);
+      min_speedup = cli::parse_double(arg, argv[++i]);
     else {
       std::fprintf(stderr,
                    "usage: perf_bench [--smoke] [--out-engine F] [--out-e2e F]"
@@ -684,4 +688,8 @@ int main(int argc, char** argv) {
     return 5;
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value.
+  std::fprintf(stderr, "perf_bench: %s\n", e.what());
+  return 2;
 }

@@ -21,8 +21,8 @@
 #include <string>
 
 #include "baselines/library_model.hpp"
+#include "cli_parse.hpp"
 #include "obs/ledger.hpp"
-#include "util/json.hpp"
 
 using namespace xkb;
 using namespace xkb::baselines;
@@ -61,7 +61,7 @@ obs::RunLedger run_direct(const std::string& lib, rt::HeuristicConfig heur,
   spec.name = lib;
   const BenchResult r = LibraryModel(std::move(spec)).run(cfg);
   if (r.failed) throw std::runtime_error(lib + " run failed: " + r.error);
-  return obs::ledger_from_json(util::json_parse(r.ledger_json));
+  return r.ledger(r.report());
 }
 
 bool write_file(const std::string& path, const std::string& text) {
@@ -92,13 +92,14 @@ int main(int argc, char** argv) {
     try {
       if (arg == "--topo") topo_name = next();
       else if (arg == "--routine") routine = next();
-      else if (arg == "--n") n = std::stoul(next());
-      else if (arg == "--tile") tile = std::stoul(next());
+      else if (arg == "--n") n = cli::parse_size(arg, next());
+      else if (arg == "--tile") tile = cli::parse_size(arg, next());
       else if (arg == "--data-on-device") dod = true;
       else if (arg == "--emit-a") emit_a = next();
       else if (arg == "--emit-b") emit_b = next();
       else if (arg == "--json") json_path = next();
-      else if (arg == "--assert-coverage") assert_cov = std::stod(next());
+      else if (arg == "--assert-coverage")
+        assert_cov = cli::parse_double(arg, next());
       else if (arg == "--assert-deterministic") assert_det = true;
       else if (arg == "--help" || arg == "-h") { usage(); return 0; }
       else if (!arg.empty() && arg[0] == '-') {

@@ -100,8 +100,7 @@ DirectWorkloadRun run_direct(const wl::WorkloadGraph& g,
   const BenchResult res =
       run_workload(spec_for_library("xkblas", heur), g, cfg);
   if (res.failed) throw std::runtime_error(g.name + ": " + res.error);
-  const obs::RunReport rep =
-      obs::build_report(*res.trace, topo, res.obs.get());
+  const obs::RunReport rep = res.report();
   DirectWorkloadRun r;
   r.span = rep.span;
   for (const obs::LinkRow& row : rep.links) {

@@ -15,10 +15,13 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "baselines/library_model.hpp"
 #include "baselines/workload_entry.hpp"
+#include "cli_parse.hpp"
 #include "fault/fault.hpp"
+#include "obs/ledger.hpp"
 #include "obs/report.hpp"
 #include "tdl/tpo.hpp"
 #include "util/selfprof.hpp"
@@ -99,36 +102,6 @@ void usage() {
       kRoutines, lib_list().c_str(), kTopos, kScenarios);
 }
 
-/// Strict full-string unsigned parse: "12abc", "-3" and "" all reject with
-/// an actionable message naming the flag (std::stoul would accept the first
-/// silently and wrap the second).
-std::size_t parse_size(const std::string& flag, const std::string& v) {
-  std::size_t pos = 0;
-  unsigned long long x = 0;
-  try {
-    x = std::stoull(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (v.empty() || v[0] == '-' || pos != v.size())
-    throw std::invalid_argument(flag + ": '" + v +
-                                "' is not a non-negative integer");
-  return static_cast<std::size_t>(x);
-}
-
-double parse_double(const std::string& flag, const std::string& v) {
-  std::size_t pos = 0;
-  double x = 0.0;
-  try {
-    x = std::stod(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (v.empty() || pos != v.size())
-    throw std::invalid_argument(flag + ": '" + v + "' is not a number");
-  return x;
-}
-
 bool parse_scenario(const std::string& s) {
   if (s == "data-on-host") return false;
   if (s == "data-on-device") return true;
@@ -159,8 +132,8 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--routine") routine = next();
-      else if (arg == "--n") n = parse_size(arg, next());
-      else if (arg == "--tile") tile = parse_size(arg, next());
+      else if (arg == "--n") n = cli::parse_size(arg, next());
+      else if (arg == "--tile") tile = cli::parse_size(arg, next());
       else if (arg == "--lib") lib = next();
       else if (arg == "--topo") topo_name = next();
       else if (arg == "--dump-topo") dump_topo = true;
@@ -182,10 +155,10 @@ int main(int argc, char** argv) {
       else if (arg == "--hash") { hash = true; check = true; }
       else if (arg == "--fault-plan") fault_plan_file = next();
       else if (arg == "--fault-seed") {
-        fault_seed = parse_size(arg, next());
+        fault_seed = cli::parse_size(arg, next());
         have_fault_seed = true;
       } else if (arg == "--fault-horizon")
-        fault_horizon = parse_double(arg, next());
+        fault_horizon = cli::parse_double(arg, next());
       else if (arg == "--help" || arg == "-h") { usage(); return 0; }
       else {
         std::fprintf(stderr, "unknown option %s\n", arg.c_str());
@@ -292,17 +265,16 @@ int main(int argc, char** argv) {
                    r.check_violations, r.check_report.c_str());
       return 3;
     }
-    if (!metrics_out.empty()) {
-      std::ofstream mout(metrics_out);
-      mout << r.metrics_json;
-      std::printf("metrics -> %s\n", metrics_out.c_str());
-    }
-    if (!ledger_out.empty()) {
-      if (r.ledger_json.empty()) {
-        std::fprintf(stderr, "warning: run produced no ledger\n");
-      } else {
+    if (!metrics_out.empty() || !ledger_out.empty()) {
+      obs::RunReport rep = r.report();
+      if (!metrics_out.empty()) {
+        std::ofstream mout(metrics_out);
+        mout << obs::report_json(rep, r.obs.get());
+        std::printf("metrics -> %s\n", metrics_out.c_str());
+      }
+      if (!ledger_out.empty()) {
         std::ofstream lout(ledger_out);
-        lout << r.ledger_json;
+        lout << obs::ledger_json(r.ledger(std::move(rep)));
         std::printf("ledger -> %s\n", ledger_out.c_str());
       }
     }
