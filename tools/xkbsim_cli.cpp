@@ -10,6 +10,7 @@
 //   xkbsim_cli --routine trsm --n 24576 --data-on-device --csv
 //   xkbsim_cli --workload stencil_1d:width=16,depth=32 --check
 //   xkbsim_cli --workload-file traces/pipeline.wlg --lib xkblas --csv
+//   xkbsim_cli --workload dnn:width=6,depth=4 --dump-wlg > pipeline.wlg
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,6 +70,8 @@ void usage() {
       "                 (generators: trivial|stencil_1d|nearest|fft|tree|\n"
       "                 random|dnn|composition)\n"
       "  --workload-file F  replay a .wlg task-graph file\n"
+      "  --dump-wlg     print the selected workload as canonical .wlg text\n"
+      "                 and exit (generator for the shipped examples)\n"
       "\n"
       "validation and observability:\n"
       "  --check        run under xkb::check (races, coherence, progress);\n"
@@ -116,7 +119,7 @@ int main(int argc, char** argv) {
   std::size_t n = 32768, tile = 2048;
   bool no_heur = false, no_topo = false, dod = false, gantt = false,
        csv = false, check = false, hash = false, selfprof = false,
-       dump_topo = false;
+       dump_topo = false, dump_wlg = false;
   std::string trace_json, metrics_out, ledger_out, flight_out,
       fault_plan_file;
   std::string workload, workload_file;
@@ -143,6 +146,7 @@ int main(int argc, char** argv) {
       else if (arg == "--scenario") dod = parse_scenario(next());
       else if (arg == "--workload") workload = next();
       else if (arg == "--workload-file") workload_file = next();
+      else if (arg == "--dump-wlg") dump_wlg = true;
       else if (arg == "--gantt") gantt = true;
       else if (arg == "--trace-json" || arg == "--trace-out")
         trace_json = next();
@@ -194,6 +198,9 @@ int main(int argc, char** argv) {
       std::printf("%s", tdl::write_tpo(topology.machine()).c_str());
       return 0;
     }
+    if (dump_wlg && workload.empty() && workload_file.empty())
+      throw std::invalid_argument("--dump-wlg needs --workload or "
+                                  "--workload-file");
     fault::FaultPlan fault_plan;
     if (!fault_plan_file.empty())
       fault_plan = fault::FaultPlan::parse_file(fault_plan_file);
@@ -212,6 +219,10 @@ int main(int argc, char** argv) {
           workload_file.empty()
               ? wl::build(wl::WorkloadSpec::parse(workload))
               : wl::parse_wlg_file(workload_file);
+      if (dump_wlg) {
+        std::printf("%s", wl::write_wlg(g).c_str());
+        return 0;
+      }
       const ModelSpec spec = spec_for_library(lib, heur);
       RunConfig wcfg;
       wcfg.data_on_device = dod;
