@@ -92,8 +92,8 @@ struct Cfg {
   std::string fault_plan_path;
   std::string json_path;
   std::string ledger_path;
-  /// Machine the service runs on: any baselines::parse_topo name.
-  std::string topo = "dgx1";
+  /// Machine the service runs on (--topo: any baselines::parse_topo name).
+  topo::Topology machine = topo::Topology::dgx1();
   bool append = false;
   const char* mode = "soak";
 };
@@ -184,12 +184,20 @@ double percentile(std::vector<double> v, double p) {
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
+svc::ServiceOptions service_options(const Cfg& cfg) {
+  svc::ServiceOptions sopt;
+  sopt.arbitration = cfg.policy;
+  sopt.max_running = cfg.max_running;
+  sopt.global_queue_cap = cfg.global_queue_cap;
+  return sopt;
+}
+
 RunOut run_soak(const Cfg& cfg, const svc::ArrivalTrace& trace,
                 const fault::FaultPlan& plan) {
   RunOut out;
 
   baselines::RunConfig rc;
-  rc.topology = baselines::parse_topo(cfg.topo);
+  rc.topology = cfg.machine;
   rc.check.enabled = cfg.check;
   rc.obs.enabled = true;
   rc.fault_plan = plan;
@@ -200,11 +208,7 @@ RunOut run_soak(const Cfg& cfg, const svc::ArrivalTrace& trace,
   lm.seed = trace.seed;
   baselines::Session session({}, rc, std::move(lm));
 
-  svc::ServiceOptions sopt;
-  sopt.arbitration = cfg.policy;
-  sopt.max_running = cfg.max_running;
-  sopt.global_queue_cap = cfg.global_queue_cap;
-  svc::Service service(session.runtime(), sopt);
+  svc::Service service(session.runtime(), service_options(cfg));
   for (const svc::TenantSpec& t : trace.tenants) service.add_tenant(t);
 
   // One graph per distinct spec string: jobs sharing a shape share the
@@ -430,6 +434,7 @@ int fail(const char* what) {
 
 int main(int argc, char** argv) {
   Cfg cfg;
+  svc::ArrivalTrace trace;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -463,7 +468,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--queue-cap") {
         cfg.global_queue_cap = cli::parse_size(arg, next());
       } else if (arg == "--topo") {
-        cfg.topo = next();
+        cfg.machine = baselines::parse_topo(next());
       } else if (arg == "--trace") {
         cfg.trace_path = next();
       } else if (arg == "--emit-trace") {
@@ -492,6 +497,12 @@ int main(int argc, char** argv) {
     }
     if (cfg.tenants < 1 || cfg.jobs == 0)
       throw std::invalid_argument("--tenants and --jobs must be at least 1");
+    // Settings the soak itself would reject (the arrival rate, the service
+    // options) are checked before it starts, like a malformed flag.
+    service_options(cfg).validate();
+    if (cfg.trace_path.empty())
+      trace = svc::poisson_trace(cfg.seed, default_tenants(cfg.tenants),
+                                 cfg.rate_hz, cfg.jobs);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "service_bench: %s\n", e.what());
     usage();
@@ -499,11 +510,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    svc::ArrivalTrace trace =
-        cfg.trace_path.empty()
-            ? svc::poisson_trace(cfg.seed, default_tenants(cfg.tenants),
-                                 cfg.rate_hz, cfg.jobs)
-            : svc::ArrivalTrace::parse_file(cfg.trace_path);
+    if (!cfg.trace_path.empty())
+      trace = svc::ArrivalTrace::parse_file(cfg.trace_path);
 
     if (!cfg.emit_trace_path.empty()) {
       std::ofstream f(cfg.emit_trace_path);
