@@ -586,3 +586,141 @@ TEST(EvictionFlushRace, StaleFlushMustNotPublishOldVersion) {
 
 }  // namespace
 }  // namespace xkb::rt
+
+// Appended: dmdas's placement equals the per-device reference loop -- for
+// every alive device, the estimated cost of each read operand it misses,
+// summed in operand order, with a fresh transfer costed at the best of the
+// host link and every valid peer -- both in the device it picks and in the
+// ready-time estimate it books.
+#include <algorithm>
+#include <limits>
+
+#include "tdl/presets.hpp"
+
+namespace xkb::rt {
+namespace {
+
+class ReferenceDmdas {
+ public:
+  int place(const Task& t, Runtime& rt) {
+    Platform& plat = rt.platform();
+    const auto& topo = plat.topology();
+    const int n = rt.num_gpus();
+    if (eta_.size() != static_cast<std::size_t>(n)) eta_.assign(n, 0.0);
+    const double now = plat.engine().now();
+    const double ktime =
+        plat.perf().kernel_time(t.desc.flops, t.desc.min_dim,
+                                t.desc.eff_factor, t.desc.single_precision);
+    int best = -1;
+    double best_cost = std::numeric_limits<double>::max();
+    for (int g = 0; g < n; ++g) {
+      if (plat.device_failed(g)) continue;
+      double xfer = 0.0;
+      for (const TaskAccess& a : t.desc.accesses) {
+        if (a.mode == Access::kW) continue;
+        const mem::DataHandle* h = a.handle;
+        if (h->dev[g].state == mem::ReplicaState::kValid) continue;
+        if (h->dev[g].state == mem::ReplicaState::kInFlight) {
+          xfer += std::max(0.0, h->dev[g].eta - now);
+          continue;
+        }
+        double bw = topo.host_bandwidth_gbps(g);
+        for (int s : h->valid_devices())
+          bw = std::max(bw, topo.gpu_bandwidth_gbps(s, g));
+        xfer += static_cast<double>(h->bytes()) / (bw * 1e9);
+      }
+      const double start = std::max(eta_[g], now);
+      const double done = start + xfer + ktime;
+      if (done < best_cost) {
+        best_cost = done;
+        best = g;
+      }
+    }
+    eta_[best] = best_cost;
+    return best;
+  }
+  const std::vector<double>& eta() const { return eta_; }
+
+ private:
+  std::vector<double> eta_;
+};
+
+void dmdas_matches_reference(topo::Topology topo, std::uint64_t seed) {
+  PlatformOptions po;
+  po.functional = false;
+  Platform plat(std::move(topo), PerfModel{}, po);
+  Runtime runtime(plat, std::make_unique<OwnerComputesScheduler>());
+  const int n = plat.num_gpus();
+  constexpr int kSteps = 400;
+  // Host origins only key the registry: each operand of each step gets its
+  // own never-touched handle, so an untouched device has no replica entry.
+  static std::vector<double> origins(kSteps * 4);
+
+  DmdasScheduler sched;
+  ReferenceDmdas ref;
+  Rng rng(seed);
+  for (int step = 0; step < kSteps; ++step) {
+    // Advance virtual time so in-flight ETAs land on both sides of now.
+    plat.engine().schedule_after(rng.uniform(0.0, 2e-3), [] {});
+    plat.engine().run();
+    const double now = plat.engine().now();
+    if (step == kSteps / 3 || step == 2 * kSteps / 3)
+      plat.apply_device_failure(static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(n))));
+
+    TaskDesc d;
+    d.label = "probe";
+    const int reads = 1 + static_cast<int>(rng.next_below(3));
+    for (int k = 0; k <= reads; ++k) {
+      const std::size_t dim = 256 * (1 + rng.next_below(8));
+      mem::DataHandle* h = runtime.registry().intern(
+          &origins[static_cast<std::size_t>(step * 4 + k)], dim, dim, dim,
+          sizeof(double));
+      // Valid, in flight, materialised-invalid or absent, failed devices
+      // included (a purge may not have reached every handle yet).
+      for (int g = 0; g < n; ++g) {
+        switch (rng.next_below(6)) {
+          case 0:
+            h->dev[g].state = mem::ReplicaState::kValid;
+            break;
+          case 1:
+            h->dev[g].state = mem::ReplicaState::kInFlight;
+            h->dev[g].eta = now + rng.uniform(-1e-3, 3e-3);
+            break;
+          case 2:
+            h->dev[g].state = mem::ReplicaState::kInvalid;
+            break;
+          default:
+            break;  // absent
+        }
+      }
+      const Access mode = k == reads ? Access::kW
+                          : rng.next_below(2) == 0 ? Access::kR
+                                                   : Access::kRW;
+      d.accesses.push_back({h, mode});
+    }
+    // The written operand goes anywhere in the list.
+    std::swap(d.accesses.back(),
+              d.accesses[rng.next_below(d.accesses.size())]);
+    d.flops = rng.uniform(1e8, 2e11);
+    d.min_dim = 256 * (1 + rng.next_below(8));
+    Task t(std::move(d));
+
+    const int want = ref.place(t, runtime);
+    ASSERT_EQ(sched.place(t, runtime), want) << "step " << step;
+    ASSERT_EQ(sched.eta(), ref.eta()) << "step " << step;
+  }
+}
+
+TEST(Dmdas, PlacementMatchesPerDeviceReferenceOnDgx1) {
+  dmdas_matches_reference(topo::Topology::dgx1(), 24);
+}
+
+TEST(Dmdas, PlacementMatchesPerDeviceReferenceOnFatTree16) {
+  dmdas_matches_reference(
+      topo::Topology::from_machine(tdl::fat_tree_machine(tdl::FatTreeSpec{})),
+      1024);
+}
+
+}  // namespace
+}  // namespace xkb::rt

@@ -127,3 +127,116 @@ TEST(SummitLike, FastHostLinks) {
 
 }  // namespace
 }  // namespace xkb::topo
+
+// Appended: pair lookups stay current under fault mutations.  A topology
+// that has already answered every query (and holds whatever it caches) is
+// demoted, browned out, healed and loses devices step by step; after each
+// step it must answer exactly like a freshly routed copy of the same
+// machine with the same mutations replayed before any query.
+#include <string>
+#include <vector>
+
+#include "tdl/presets.hpp"
+#include "util/rng.hpp"
+
+namespace xkb::topo {
+namespace {
+
+struct Mutation {
+  enum Kind { kDemote, kScale, kRestore, kFail } kind = kDemote;
+  int a = 0, b = 0;
+  double fraction = 1.0;
+};
+
+void apply(Topology& t, const Mutation& m) {
+  switch (m.kind) {
+    case Mutation::kDemote: t.demote_link(m.a, m.b); break;
+    case Mutation::kScale: t.scale_link_bandwidth(m.a, m.b, m.fraction); break;
+    case Mutation::kRestore: t.restore_link(m.a, m.b); break;
+    case Mutation::kFail: t.set_device_failed(m.a); break;
+  }
+}
+
+void expect_same_lookups(const Topology& got, const Topology& want,
+                         int step) {
+  const int n = want.num_gpus();
+  ASSERT_EQ(got.num_gpus(), n);
+  for (int a = 0; a < n; ++a)
+    for (int b = 0; b < n; ++b) {
+      ASSERT_EQ(got.link_class(a, b), want.link_class(a, b))
+          << "step " << step << " pair " << a << "-" << b;
+      // Bit-identical, not merely close: dmdas sums these estimates.
+      ASSERT_EQ(got.gpu_bandwidth_gbps(a, b), want.gpu_bandwidth_gbps(a, b))
+          << "step " << step << " pair " << a << "-" << b;
+      ASSERT_EQ(got.p2p_perf_rank(a, b), want.p2p_perf_rank(a, b))
+          << "step " << step << " pair " << a << "-" << b;
+      ASSERT_EQ(got.transfer_latency(a, b), want.transfer_latency(a, b))
+          << "step " << step << " pair " << a << "-" << b;
+    }
+}
+
+tdl::Machine machine_named(const std::string& name) {
+  if (name == "fat_tree_4x16") {
+    tdl::FatTreeSpec spec;
+    spec.nodes = 4;
+    spec.gpus_per_node = 16;
+    return tdl::fat_tree_machine(spec);
+  }
+  return tdl::preset_machine(name);
+}
+
+class LookupsUnderMutation : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LookupsUnderMutation, MatchAFreshlyRoutedReplay) {
+  const tdl::Machine m = machine_named(GetParam());
+  Topology live = Topology::from_machine(m);
+  const int n = live.num_gpus();
+  ASSERT_GE(n, 4);
+  expect_same_lookups(live, Topology::from_machine(m), -1);  // warm it
+
+  Rng rng(Rng::key(GetParam()));
+  std::vector<Mutation> applied;
+  int failed = 0;
+  for (int step = 0; step < 24; ++step) {
+    Mutation mu;
+    const std::uint64_t roll = rng.next_below(10);
+    mu.a = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+    mu.b = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n - 1)));
+    if (mu.b >= mu.a) ++mu.b;
+    if (roll < 3) {
+      mu.kind = Mutation::kDemote;
+    } else if (roll < 6) {
+      mu.kind = Mutation::kScale;
+      mu.fraction = rng.uniform(0.05, 0.95);
+    } else if (roll < 9 || failed >= 2) {
+      mu.kind = Mutation::kRestore;
+      // Mostly heal a pair that was mutated before, so heals do something.
+      if (!applied.empty() && rng.next_below(4) != 0) {
+        const Mutation& old = applied[rng.next_below(applied.size())];
+        if (old.kind != Mutation::kFail) {
+          mu.a = old.a;
+          mu.b = old.b;
+        }
+      }
+    } else {
+      mu.kind = Mutation::kFail;
+      ++failed;
+    }
+    apply(live, mu);
+    applied.push_back(mu);
+
+    Topology fresh = Topology::from_machine(m);
+    for (const Mutation& d : applied) apply(fresh, d);
+    expect_same_lookups(live, fresh, step);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, LookupsUnderMutation,
+    ::testing::Values("dgx1", "summit", "pcie8", "nvswitch8", "fat_tree_4x16"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
+
+}  // namespace
+}  // namespace xkb::topo
