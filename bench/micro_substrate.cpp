@@ -55,7 +55,7 @@ void BM_CacheReserveRelease(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     mem::DataHandle* h = handles[i++ % handles.size()];
-    cache.reserve(h);
+    cache.reserve(h, static_cast<double>(i));
     h->dev[0].state = mem::ReplicaState::kValid;
     cache.touch(h, static_cast<double>(i));
     benchmark::DoNotOptimize(cache.used());

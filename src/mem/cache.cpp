@@ -78,6 +78,7 @@ XKB_HOT void DeviceCache::touch(DataHandle* h, sim::Time now) {
   prof::ScopedTimer pt(prof::Phase::kCacheTouch);
   Replica& r = h->dev[device_];
   r.last_use = now;
+  r.touch_pending = false;
   if (r.lru_class < 0) return;  // not resident: stamp only
   unlink(r);
   link_sorted(r);
@@ -95,7 +96,8 @@ XKB_HOT void DeviceCache::set_dirty(DataHandle* h, bool dirty) {
   link_sorted(r);
 }
 
-XKB_HOT DeviceCache::Reservation DeviceCache::reserve(DataHandle* h) {
+XKB_HOT DeviceCache::Reservation DeviceCache::reserve(DataHandle* h,
+                                                      sim::Time now) {
   prof::ScopedTimer pt(prof::Phase::kCacheReserve);
   Reservation out;
   Replica& r = h->dev[device_];
@@ -145,9 +147,10 @@ XKB_HOT DeviceCache::Reservation DeviceCache::reserve(DataHandle* h) {
   ++resident_count_;
   r.lru_owner = h;
   r.lru_seq = next_seq_++;
-  // A replica re-entering the cache keeps the last_use of its previous life
-  // (exactly like the historical resort-everything scan saw it), which may
-  // sort it anywhere in the list until its arrival touch().
+  // Stamped now with the newest sequence number, the replica sorts after
+  // every resident: link_sorted stops at the tail.
+  r.last_use = now;
+  r.touch_pending = true;
   link_sorted(r);
   return out;
 }

@@ -57,7 +57,7 @@ struct Replica {
   bool resident = false;     ///< bytes reserved in this memory
   int pins = 0;              ///< active users (unpinned replicas are evictable)
   sim::Time eta = 0.0;       ///< arrival time when kInFlight
-  sim::Time last_use = 0.0;  ///< LRU stamp (kept for trace/debug output)
+  sim::Time last_use = 0.0;  ///< LRU stamp: the victim-order key
   std::vector<sim::Callback> waiters;  ///< run when kInFlight -> kValid
 
   // Fetch provenance (xkb::fault recovery).  Pre-fault, an in-flight
@@ -91,6 +91,10 @@ struct Replica {
   DataHandle* lru_owner = nullptr;  ///< handle holding this replica (reserve())
   std::uint64_t lru_seq = 0;  ///< residency order, assigned at reserve()
   std::int8_t lru_class = -1; ///< DeviceCache list index, -1 when unlinked
+  /// Set by reserve(), cleared by touch(): the replica carries its
+  /// reservation stamp, not a use.  DataManager::unpin asserts it is clear
+  /// when a resident replica drops to zero pins.
+  bool touch_pending = false;
 };
 
 /// Sparse per-device replica table.  Historically every handle carried a

@@ -1,8 +1,8 @@
 // Crash flight recorder: a bounded ring of the last N observable events,
 // source decisions, and fault-lane triggers, dumped together with a
 // ledger snapshot when a run dies -- watchdog stall, checker violation,
-// or an exception unwinding out of Engine::run.  A chaos_matrix failure
-// then reads as a last-seconds timeline ("brownout hit p2p1-0, three
+// or an exception unwinding out of Engine::run.  A `check_matrix chaos`
+// failure then reads as a last-seconds timeline ("brownout hit p2p1-0, three
 // transfers queued behind it, gpu1's fetch picked wait-device, nothing
 // progressed since t=...") instead of a bare hash mismatch or a
 // StuckProgress one-liner.

@@ -97,6 +97,11 @@ void DataManager::unpin(mem::DataHandle* h, int dev) {
   mem::Replica& r = h->dev[dev];
   assert(r.pins > 0);
   r.pins--;
+  // The cache stamps a reservation as a use, which keeps the victim order
+  // only while the replica cannot be a victim: its first touch (arrival or
+  // write) must come before its last pin goes.
+  assert(!(r.pins == 0 && r.resident && r.touch_pending) &&
+         "a reserved replica lost its last pin before its first touch");
 }
 
 void DataManager::ensure_valid(mem::DataHandle* h, int dev,
@@ -203,63 +208,71 @@ bool DataManager::reception_fed(const mem::DataHandle& h, int dev) const {
   return false;  // cycle: never chain on it
 }
 
-DataManager::Source DataManager::choose_source(const mem::DataHandle& h,
-                                               int dst) const {
+XKB_HOT DataManager::Source DataManager::choose_source(
+    const mem::DataHandle& h, int dst) const {
   const auto& topo = plat_->topology();
-  // Failed devices are filtered defensively: mid-recovery, a handle later in
-  // the purge order may still show a "valid" replica on the dead GPU.
-  std::vector<int> valid;
-  for (int g : h.valid_devices())
-    if (!plat_->device_failed(g)) valid.push_back(g);
-  // Candidates to chain on: live receptions whose wait-chain terminates in
+  // One ascending walk over the replicas: the order of valid_devices(), so
+  // each policy's pick (the lowest device id among the best rank, the first
+  // valid, the first switch peer) is what a scan of that list picks.  Failed
+  // devices are filtered defensively: mid-recovery, a handle later in the
+  // purge order may still show a "valid" replica on the dead GPU.
+  int first_valid = -1;
+  int pick = -1;  // the policy's device pick: best rank, or a switch peer
+  int pick_rank = 0;
+  for (const auto& [g, r] : h.dev) {
+    if (r.state != mem::ReplicaState::kValid || plat_->device_failed(g))
+      continue;
+    if (first_valid < 0) first_valid = g;
+    if (cfg_.source == SourcePolicy::kTopologyAware) {
+      const int rank = topo.p2p_perf_rank(g, dst);
+      if (pick < 0 || rank > pick_rank) {
+        pick = g;
+        pick_rank = rank;
+      }
+    } else if (cfg_.source == SourcePolicy::kSwitchPeer && pick < 0 &&
+               topo.host_link_of(g) == topo.host_link_of(dst)) {
+      pick = g;
+    }
+  }
+  // The reception to chain on: live, and fed -- its wait-chain terminates in
   // an actual transfer (chaining on a parked or orphaned reception would
-  // deadlock, and mutual chains would cycle).
-  auto fed_flying = [&] {
-    std::vector<int> out;
-    for (int g : h.inflight_devices())
-      if (g != dst && !plat_->device_failed(g) && reception_fed(h, g))
-        out.push_back(g);
-    return out;
+  // deadlock, and mutual chains would cycle).  Highest rank, lowest id.
+  auto best_flying = [&] {
+    int best = -1, best_rank = 0;
+    for (const auto& [g, r] : h.dev) {
+      if (r.state != mem::ReplicaState::kInFlight || g == dst ||
+          plat_->device_failed(g) || !reception_fed(h, g))
+        continue;
+      const int rank = topo.p2p_perf_rank(g, dst);
+      if (best < 0 || rank > best_rank) {
+        best = g;
+        best_rank = rank;
+      }
+    }
+    return std::pair<int, int>{best, best_rank};
   };
 
-  if (!valid.empty()) {
-    switch (cfg_.source) {
-      case SourcePolicy::kTopologyAware: {
-        int best = valid.front();
-        for (int g : valid)
-          if (topo.p2p_perf_rank(g, dst) > topo.p2p_perf_rank(best, dst))
-            best = g;
-        if (topo.p2p_perf_rank(best, dst) > 0) return {SourceKind::kDevice, best};
-        break;  // no peer path: fall through to the host
-      }
-      case SourcePolicy::kFirstValid:
-        if (topo.p2p_perf_rank(valid.front(), dst) > 0)
-          return {SourceKind::kDevice, valid.front()};
-        break;
-      case SourcePolicy::kSwitchPeer: {
-        for (int g : valid)
-          if (topo.host_link_of(g) == topo.host_link_of(dst))
-            return {SourceKind::kDevice, g};
-        break;  // no switch peer holds it: use the host
-      }
-      case SourcePolicy::kHostOnly:
-        break;
-    }
+  switch (cfg_.source) {
+    case SourcePolicy::kTopologyAware:
+      if (pick >= 0 && pick_rank > 0) return {SourceKind::kDevice, pick};
+      break;  // no peer path: fall through to the host
+    case SourcePolicy::kFirstValid:
+      if (first_valid >= 0 && topo.p2p_perf_rank(first_valid, dst) > 0)
+        return {SourceKind::kDevice, first_valid};
+      break;
+    case SourcePolicy::kSwitchPeer:
+      if (pick >= 0) return {SourceKind::kDevice, pick};
+      break;  // no switch peer holds it: use the host
+    case SourcePolicy::kHostOnly:
+      break;
   }
 
   if (h.host.state == mem::ReplicaState::kValid) {
     // Optimistic heuristic: a duplicate H2D can be avoided by waiting for an
     // ongoing reception on a peer GPU and forwarding from there.
     if (cfg_.optimistic_d2d) {
-      const std::vector<int> flying = fed_flying();
-      if (!flying.empty()) {
-        int best = flying.front();
-        for (int g : flying)
-          if (topo.p2p_perf_rank(g, dst) > topo.p2p_perf_rank(best, dst))
-            best = g;
-        if (topo.p2p_perf_rank(best, dst) > 0)
-          return {SourceKind::kWaitDevice, best};
-      }
+      const auto [best, rank] = best_flying();
+      if (best >= 0 && rank > 0) return {SourceKind::kWaitDevice, best};
     }
     return {SourceKind::kHost, -1};
   }
@@ -267,22 +280,19 @@ DataManager::Source DataManager::choose_source(const mem::DataHandle& h,
   // Host copy not valid.  If some device holds the data but has no peer path
   // (or the policy refused it), we still must produce the bytes: fall back to
   // the authoritative device copy.
-  if (!valid.empty()) return {SourceKind::kDevice, valid.front()};
+  if (first_valid >= 0) return {SourceKind::kDevice, first_valid};
 
   if (h.host.state == mem::ReplicaState::kInFlight)
     return {SourceKind::kWaitHost, -1};
 
-  const std::vector<int> flying = fed_flying();
-  if (flying.empty()) return {SourceKind::kNone, -1};
   // Forced wait (not a heuristic): the only copy is in flight.
-  int best = flying.front();
-  for (int g : flying)
-    if (topo.p2p_perf_rank(g, dst) > topo.p2p_perf_rank(best, dst)) best = g;
+  const int best = best_flying().first;
+  if (best < 0) return {SourceKind::kNone, -1};
   return {SourceKind::kWaitDevice, best, /*forced=*/true};
 }
 
 void DataManager::reserve_with_flushes(mem::DataHandle* h, int dev) {
-  auto res = plat_->cache(dev).reserve(h);
+  auto res = plat_->cache(dev).reserve(h, plat_->engine().now());
   for (mem::DataHandle* v : res.clean_evicted)
     plat_->report_evict(*v, dev, /*dirty=*/false);
   for (mem::DataHandle* v : res.dirty_evicted) {

@@ -1,9 +1,11 @@
 #include "runtime/scheduler.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
 #include "runtime/runtime.hpp"
+#include "util/annotations.hpp"
 
 namespace xkb::rt {
 
@@ -34,7 +36,7 @@ int OwnerComputesScheduler::place(const Task& t, Runtime& rt) {
   return 0;  // unreachable while at least one device is alive
 }
 
-int DmdasScheduler::place(const Task& t, Runtime& rt) {
+XKB_HOT int DmdasScheduler::place(const Task& t, Runtime& rt) {
   Platform& plat = rt.platform();
   const auto& topo = plat.topology();
   const int n = rt.num_gpus();
@@ -45,29 +47,51 @@ int DmdasScheduler::place(const Task& t, Runtime& rt) {
       plat.perf().kernel_time(t.desc.flops, t.desc.min_dim, t.desc.eff_factor,
                               t.desc.single_precision);
 
+  // Estimated cost of moving the operands each device is missing.  Operand
+  // by operand, in access order, so every device's sum takes the same
+  // additions in the same order as a per-device loop over the operands.
+  // One walk of an operand's replicas lists its valid sources and its
+  // receptions, both ascending, which the device sweep then steps through.
+  xfer_.assign(static_cast<std::size_t>(n), 0.0);
+  for (const TaskAccess& a : t.desc.accesses) {
+    if (a.mode == Access::kW) continue;
+    const mem::DataHandle* h = a.handle;
+    valid_.clear();
+    flying_.clear();
+    for (const auto& [g, r] : h->dev) {
+      if (r.state == mem::ReplicaState::kValid)
+        valid_.push_back(g);
+      else if (r.state == mem::ReplicaState::kInFlight)
+        flying_.emplace_back(g, r.eta);
+    }
+    const double bytes = static_cast<double>(h->bytes());
+    std::size_t vi = 0, fi = 0;
+    for (int g = 0; g < n; ++g) {
+      if (vi < valid_.size() && valid_[vi] == g) {
+        ++vi;
+        continue;
+      }
+      const bool failed = plat.device_failed(g);
+      if (fi < flying_.size() && flying_[fi].first == g) {
+        // Already on its way here: the cost is the remaining wait, not a
+        // fresh transfer (charging a full transfer double-counts the data).
+        if (!failed) xfer_[g] += std::max(0.0, flying_[fi].second - now);
+        ++fi;
+        continue;
+      }
+      if (failed) continue;
+      double bw = topo.host_bandwidth_gbps(g);
+      for (int s : valid_) bw = std::max(bw, topo.gpu_bandwidth_gbps(s, g));
+      xfer_[g] += bytes / (bw * 1e9);
+    }
+  }
+
   int best = -1;
   double best_cost = std::numeric_limits<double>::max();
   for (int g = 0; g < n; ++g) {
     if (plat.device_failed(g)) continue;
-    // Estimated cost of moving the operands this device is missing.
-    double xfer = 0.0;
-    for (const TaskAccess& a : t.desc.accesses) {
-      if (a.mode == Access::kW) continue;
-      const mem::DataHandle* h = a.handle;
-      if (h->dev[g].state == mem::ReplicaState::kValid) continue;
-      if (h->dev[g].state == mem::ReplicaState::kInFlight) {
-        // Already on its way here: the cost is the remaining wait, not a
-        // fresh transfer (charging a full transfer double-counts the data).
-        xfer += std::max(0.0, h->dev[g].eta - now);
-        continue;
-      }
-      double bw = topo.host_bandwidth_gbps(g);
-      for (int s : h->valid_devices())
-        bw = std::max(bw, topo.gpu_bandwidth_gbps(s, g));
-      xfer += static_cast<double>(h->bytes()) / (bw * 1e9);
-    }
     const double start = std::max(eta_[g], now);
-    const double done = start + xfer + ktime;
+    const double done = start + xfer_[g] + ktime;
     if (done < best_cost) {
       best_cost = done;
       best = g;

@@ -10,10 +10,13 @@
 // reproduces its historical tables bit-identically (pinned by
 // test_topology and the determinism hashes).
 //
-// Representation is sparse: direct links per pair, a per-device attachment
-// list, and lazily computed fabric rows over the small switch/host graph.
-// A 1024-device fat tree never materialises a 1024x1024 table; memory is
-// O(active links), which tools/topo_bench gates.
+// Representation is sparse: a row of direct links per device, a per-device
+// attachment list, and lazily computed fabric rows over the small
+// switch/host graph.  A fabric route depends only on the two attachment
+// lists, so devices with equal lists share one attachment class and every
+// class pair is routed once, on first query.  A 1024-device fat tree never
+// materialises a 1024x1024 table; memory is O(active links + queried class
+// pairs), which tools/topo_bench gates.
 //
 // `p2p_perf_rank` mirrors CUDA's cuDeviceGetP2PAttribute(
 // CU_DEVICE_P2P_ATTRIBUTE_PERFORMANCE_RANK): a relative ordering of link
@@ -148,9 +151,10 @@ class Topology {
 
   // --- scale accounting (tools/topo_bench memory gate) ---------------------
 
-  /// Bytes held by the sparse routing state (direct links + overrides,
-  /// attachment lists, infra graph, cached fabric rows).  The dense
-  /// counterfactual is dense_bytes(): n*n link-class + bandwidth tables.
+  /// Bytes held by the sparse routing state (direct-link rows + overrides,
+  /// attachment lists and classes, infra graph, cached fabric rows and
+  /// class-pair routes).  The dense counterfactual is dense_bytes(): n*n
+  /// link-class + bandwidth tables.
   std::size_t sparse_bytes() const;
   static std::size_t dense_bytes(int num_gpus);
   /// Number of lazily materialised fabric rows (grows with *used* routes).
@@ -162,15 +166,29 @@ class Topology {
   /// Routed metrics for a pair: the direct link if one exists (authoritative,
   /// including fault overrides), otherwise the best fabric route.
   tdl::PathMetrics pair(int a, int b) const;
+  /// The best fabric route between two devices' attachment lists.
   tdl::PathMetrics fabric(int a, int b) const;
+  /// fabric() of the pair's attachment classes, routed on first query.
+  const tdl::PathMetrics& class_fabric(int a, int b) const;
   const std::vector<tdl::PathMetrics>& fabric_row(int infra) const;
   std::pair<int, int> norm(int a, int b) const {
     return {a < b ? a : b, a < b ? b : a};
   }
-  /// Direct entry for mutation, materialising a fabric override if needed;
-  /// snapshots the pair's nominal metrics on first mutation.  Returns null
-  /// for pairs with no route at all.
-  tdl::PathMetrics* ensure_entry(int a, int b);
+
+  /// One entry of a device's direct-link row.
+  struct DirectLink {
+    int peer = -1;
+    tdl::PathMetrics m;
+  };
+  const tdl::PathMetrics* find_direct(int a, int b) const;
+  /// Insert or overwrite the pair's entry in both devices' rows.
+  void set_direct(int a, int b, const tdl::PathMetrics& m);
+  void erase_direct(int a, int b);
+  /// The pair's current metrics for mutation; snapshots its nominal metrics
+  /// on first mutation.  False for pairs with no route at all.
+  bool begin_mutation(int a, int b, tdl::PathMetrics& cur);
+  /// Group devices by attachment list (sorted, not pairwise compared).
+  void assign_attach_classes();
 
   tdl::Machine machine_;
   std::string name_;
@@ -178,7 +196,9 @@ class Topology {
   std::vector<std::string> dev_names_;
   std::vector<double> local_bw_gbps_;
 
-  std::map<std::pair<int, int>, tdl::PathMetrics> direct_;
+  /// Per device, its direct links and fault overrides, sorted by peer; a
+  /// pair's entry appears in both rows.
+  std::vector<std::vector<DirectLink>> direct_;
   struct Nominal {
     bool had_direct = false;
     tdl::PathMetrics m;
@@ -188,6 +208,13 @@ class Topology {
   std::vector<std::vector<tdl::Attach>> attach_;
   tdl::InfraGraph infra_;
   mutable std::map<int, std::vector<tdl::PathMetrics>> fabric_rows_;
+  /// Per device, the index of its attachment class, and per class one
+  /// device holding that list.
+  std::vector<int> attach_class_;
+  std::vector<int> class_device_;
+  /// Per queried source class, the route to every class (hops < 0 until
+  /// routed).  Mutations never touch it: they write direct rows.
+  mutable std::vector<std::vector<tdl::PathMetrics>> class_routes_;
 
   std::vector<char> failed_;  // empty until first device failure
   std::vector<int> host_link_of_;

@@ -17,7 +17,7 @@
 // touch, bucket adopt) only *count* every call and time a 1-in-2^k sample
 // of them; rare sites (queue rebuild) and long scopes (the engine run
 // loop) time every call.  The measured attach cost is held under the same
-// 1.3x budget as the obs layer (check_matrix --selfprof --overhead).
+// 1.3x budget as the obs layer (check_matrix libs selfprof).
 #pragma once
 
 #include <array>

@@ -74,11 +74,11 @@ class CacheTest : public ::testing::Test {
 TEST_F(CacheTest, ReserveAccountsBytes) {
   DeviceCache c(0, 2048);
   DataHandle* h = tile(0);
-  c.reserve(h);
+  c.reserve(h, 0.0);
   EXPECT_EQ(c.used(), 512u);
   EXPECT_TRUE(h->dev[0].resident);
   // Idempotent while resident.
-  c.reserve(h);
+  c.reserve(h, 0.0);
   EXPECT_EQ(c.used(), 512u);
   EXPECT_EQ(c.resident_count(), 1u);
 }
@@ -86,7 +86,7 @@ TEST_F(CacheTest, ReserveAccountsBytes) {
 TEST_F(CacheTest, ReleaseFrees) {
   DeviceCache c(0, 2048);
   DataHandle* h = tile(0);
-  c.reserve(h);
+  c.reserve(h, 0.0);
   c.release(h);
   EXPECT_EQ(c.used(), 0u);
   EXPECT_FALSE(h->dev[0].resident);
@@ -97,13 +97,13 @@ TEST_F(CacheTest, EvictsCleanLruFirst) {
   DeviceCache c(0, 1536);  // room for 3 tiles
   DataHandle *a = tile(0), *b = tile(1), *d = tile(2), *e = tile(3);
   for (DataHandle* h : {a, b, d}) {
-    c.reserve(h);
+    c.reserve(h, 0.0);
     h->dev[0].state = ReplicaState::kValid;
   }
   c.touch(a, 1.0);
   c.touch(b, 5.0);  // most recent
   c.touch(d, 3.0);
-  auto res = c.reserve(e);
+  auto res = c.reserve(e, 0.0);
   ASSERT_EQ(res.clean_evicted.size(), 1u);
   EXPECT_EQ(res.clean_evicted[0], a);  // LRU clean victim
   EXPECT_TRUE(res.dirty_evicted.empty());
@@ -114,14 +114,14 @@ TEST_F(CacheTest, EvictsCleanLruFirst) {
 TEST_F(CacheTest, CleanPreferredOverDirtyEvenIfNewer) {
   DeviceCache c(0, 1024);  // 2 tiles
   DataHandle *dirty = tile(0), *clean = tile(1), *incoming = tile(2);
-  c.reserve(dirty);
+  c.reserve(dirty, 0.0);
   dirty->dev[0].state = ReplicaState::kValid;
   c.set_dirty(dirty, true);
   c.touch(dirty, 1.0);  // older than the clean tile
-  c.reserve(clean);
+  c.reserve(clean, 0.0);
   clean->dev[0].state = ReplicaState::kValid;
   c.touch(clean, 9.0);
-  auto res = c.reserve(incoming);
+  auto res = c.reserve(incoming, 0.0);
   ASSERT_EQ(res.clean_evicted.size(), 1u);
   EXPECT_EQ(res.clean_evicted[0], clean);  // read-only-first policy
 }
@@ -129,10 +129,10 @@ TEST_F(CacheTest, CleanPreferredOverDirtyEvenIfNewer) {
 TEST_F(CacheTest, DirtyEvictedWhenNoCleanLeft) {
   DeviceCache c(0, 512);  // 1 tile
   DataHandle *dirty = tile(0), *incoming = tile(1);
-  c.reserve(dirty);
+  c.reserve(dirty, 0.0);
   dirty->dev[0].state = ReplicaState::kValid;
   c.set_dirty(dirty, true);
-  auto res = c.reserve(incoming);
+  auto res = c.reserve(incoming, 0.0);
   ASSERT_EQ(res.dirty_evicted.size(), 1u);
   EXPECT_EQ(res.dirty_evicted[0], dirty);
   EXPECT_FALSE(dirty->dev[0].dirty) << "caller takes over the flush";
@@ -141,23 +141,23 @@ TEST_F(CacheTest, DirtyEvictedWhenNoCleanLeft) {
 TEST_F(CacheTest, PinnedReplicasAreNotVictims) {
   DeviceCache c(0, 512);
   DataHandle *pinned = tile(0), *incoming = tile(1);
-  c.reserve(pinned);
+  c.reserve(pinned, 0.0);
   pinned->dev[0].state = ReplicaState::kValid;
   pinned->dev[0].pins = 1;
-  EXPECT_THROW(c.reserve(incoming), OutOfDeviceMemory);
+  EXPECT_THROW(c.reserve(incoming, 0.0), OutOfDeviceMemory);
 }
 
 TEST_F(CacheTest, InFlightReplicasAreNotVictims) {
   DeviceCache c(0, 512);
   DataHandle *flying = tile(0), *incoming = tile(1);
-  c.reserve(flying);
+  c.reserve(flying, 0.0);
   flying->dev[0].state = ReplicaState::kInFlight;
-  EXPECT_THROW(c.reserve(incoming), OutOfDeviceMemory);
+  EXPECT_THROW(c.reserve(incoming, 0.0), OutOfDeviceMemory);
 }
 
 TEST_F(CacheTest, OversizedReservationThrows) {
   DeviceCache c(0, 256);  // smaller than one tile
-  EXPECT_THROW(c.reserve(tile(0)), OutOfDeviceMemory);
+  EXPECT_THROW(c.reserve(tile(0), 0.0), OutOfDeviceMemory);
 }
 
 TEST_F(CacheTest, FailedReserveHasNoSideEffects) {
@@ -168,7 +168,7 @@ TEST_F(CacheTest, FailedReserveHasNoSideEffects) {
   DeviceCache c(0, 1536);
   DataHandle *p0 = tile(0), *p1 = tile(1), *dirty = tile(2);
   for (DataHandle* h : {p0, p1, dirty}) {
-    c.reserve(h);
+    c.reserve(h, 0.0);
     h->dev[0].state = ReplicaState::kValid;
   }
   p0->dev[0].pins = 1;
@@ -177,7 +177,7 @@ TEST_F(CacheTest, FailedReserveHasNoSideEffects) {
   DataHandle* big = reg_.intern(buf + 64 * 3, 16, 8, 512, sizeof(double));
   ASSERT_EQ(big->bytes(), 1024u);
 
-  EXPECT_THROW(c.reserve(big), OutOfDeviceMemory);
+  EXPECT_THROW(c.reserve(big, 0.0), OutOfDeviceMemory);
   EXPECT_TRUE(dirty->dev[0].resident);
   EXPECT_EQ(dirty->dev[0].state, ReplicaState::kValid);
   EXPECT_TRUE(dirty->dev[0].dirty);
@@ -186,9 +186,41 @@ TEST_F(CacheTest, FailedReserveHasNoSideEffects) {
 
   // Once one tile is unpinned, the same reservation fits.
   p0->dev[0].pins = 0;
-  auto res = c.reserve(big);
+  auto res = c.reserve(big, 0.0);
   EXPECT_EQ(res.clean_evicted, (std::vector<DataHandle*>{p0}));
   EXPECT_EQ(res.dirty_evicted, (std::vector<DataHandle*>{dirty}));
+}
+
+TEST_F(CacheTest, ReservationCountsAsAUse) {
+  // A replica last used at t = 1, released and reserved again at t = 6, is
+  // stamped at its reservation: once settled, it outlives a replica used at
+  // t = 4.  A reservation that throws stamps nothing.
+  DeviceCache c(0, 1024);  // 2 tiles
+  DataHandle *old = tile(0), *mid = tile(1), *incoming = tile(2);
+  c.reserve(old, 0.0);
+  old->dev[0].state = ReplicaState::kValid;
+  c.touch(old, 1.0);
+  c.release(old);
+  c.reserve(mid, 2.0);
+  mid->dev[0].state = ReplicaState::kValid;
+  c.touch(mid, 4.0);
+  c.reserve(old, 6.0);
+  EXPECT_EQ(old->dev[0].last_use, 6.0);
+  EXPECT_TRUE(old->dev[0].touch_pending);
+  old->dev[0].state = ReplicaState::kValid;
+
+  mid->dev[0].pins = 1;
+  old->dev[0].pins = 1;
+  EXPECT_THROW(c.reserve(incoming, 7.0), OutOfDeviceMemory);
+  EXPECT_EQ(incoming->dev[0].last_use, 0.0);
+  EXPECT_FALSE(incoming->dev[0].touch_pending);
+
+  mid->dev[0].pins = 0;
+  old->dev[0].pins = 0;
+  auto res = c.reserve(incoming, 8.0);
+  EXPECT_EQ(res.clean_evicted, (std::vector<DataHandle*>{mid}));
+  c.touch(old, 9.0);
+  EXPECT_FALSE(old->dev[0].touch_pending) << "the first touch clears it";
 }
 
 }  // namespace
@@ -196,8 +228,9 @@ TEST_F(CacheTest, FailedReserveHasNoSideEffects) {
 
 // Appended: the intrusive O(1) LRU must reproduce the victim order of the
 // historical sort-based scan exactly (ascending last_use, ties broken by
-// residency order, clean before dirty under kReadOnlyFirst), so simulated
-// timings are bit-identical across the refactor.
+// residency order, clean before dirty under kReadOnlyFirst), with a
+// reservation counted as a use at its instant, so simulated timings are
+// bit-identical across the refactor.
 #include <algorithm>
 #include <unordered_map>
 
@@ -207,8 +240,9 @@ namespace xkb::mem {
 namespace {
 
 /// Reference model: the pre-refactor algorithm -- an insertion-ordered
-/// resident vector, re-sorted per reservation, linear-scan erases.  Operates
-/// on shadow state so it shares nothing with the DeviceCache under test.
+/// resident vector, re-sorted per reservation, linear-scan erases -- with
+/// the reservation stamped as a use.  Operates on shadow state so it shares
+/// nothing with the DeviceCache under test.
 class LegacySortCache {
  public:
   LegacySortCache(std::size_t capacity, EvictionPolicy policy, int ntiles)
@@ -227,7 +261,7 @@ class LegacySortCache {
   Rep& rep(int i) { return r_[i]; }
   std::size_t used() const { return used_; }
 
-  Out reserve(int idx, std::size_t bytes) {
+  Out reserve(int idx, std::size_t bytes, double now) {
     Out out;
     if (r_[idx].resident) return out;
     if (used_ + bytes > cap_) {
@@ -269,6 +303,7 @@ class LegacySortCache {
     used_ += bytes;
     bytes_[idx] = bytes;
     r_[idx].resident = true;
+    r_[idx].last_use = now;
     resident_.push_back(idx);
     return out;
   }
@@ -295,8 +330,9 @@ TEST_P(LruEquivalenceTest, RandomOpSequenceMatchesLegacyVictimOrder) {
   // sequence, plus DataManager's write path (touch, then set dirty),
   // supersede and release + re-reserve, through the intrusive cache and the
   // legacy model; every reservation must evict the same victims in the same
-  // order.  With 96 of 256 tiles resident, stale stamps sort deep inside the
-  // lists, so the two ends of a relink walk meet mid-list.
+  // order.  With 96 of 256 tiles resident, a dirty-bit flip relinks a stale
+  // stamp deep inside the other list, so the two ends of a relink walk meet
+  // mid-list.
   constexpr int kTiles = 256;
   constexpr std::size_t kTileBytes = 8 * 8 * sizeof(double);
   constexpr std::size_t kCapacity = 96 * kTileBytes;
@@ -319,8 +355,8 @@ TEST_P(LruEquivalenceTest, RandomOpSequenceMatchesLegacyVictimOrder) {
     Replica& r = hs[i]->dev[0];
     LegacySortCache::Rep& lr = legacy.rep(i);
     switch (rng.next_below(13)) {
-      case 10:  // release, then re-reserve below: the stale last_use of a
-                // clean replica sorts it back into the middle of its list
+      case 10:  // release, then re-reserve below: the reservation restamps
+                // a clean replica that had a stale last_use
         if (lr.dirty) break;
         cache.release(hs[i]);
         legacy.release(i);
@@ -329,13 +365,14 @@ TEST_P(LruEquivalenceTest, RandomOpSequenceMatchesLegacyVictimOrder) {
       case 0:
       case 1:
       case 2:
-      case 3: {  // reserve (possibly evicting)
-        LegacySortCache::Out want = legacy.reserve(i, kTileBytes);
+      case 3: {  // reserve (possibly evicting), stamped like a touch
+        const double t = static_cast<double>(step / 3);
+        LegacySortCache::Out want = legacy.reserve(i, kTileBytes, t);
         if (want.oom) {
-          EXPECT_THROW(cache.reserve(hs[i]), OutOfDeviceMemory);
+          EXPECT_THROW(cache.reserve(hs[i], t), OutOfDeviceMemory);
           break;
         }
-        DeviceCache::Reservation got = cache.reserve(hs[i]);
+        DeviceCache::Reservation got = cache.reserve(hs[i], t);
         std::vector<int> got_clean, got_dirty;
         for (DataHandle* v : got.clean_evicted) got_clean.push_back(idx[v]);
         for (DataHandle* v : got.dirty_evicted) got_dirty.push_back(idx[v]);
@@ -417,7 +454,7 @@ TEST(IntrusiveLru, DirtyVictimDuringCleanPassUnderLru) {
   DeviceCache c(0, 4 * 512, EvictionPolicy::kLru);
   DataHandle *t0 = tile(0), *t1 = tile(1), *t2 = tile(2), *t3 = tile(3);
   for (DataHandle* h : {t0, t1, t2, t3}) {
-    c.reserve(h);
+    c.reserve(h, 0.0);
     h->dev[0].state = ReplicaState::kValid;
   }
   c.touch(t0, 1.0);
@@ -428,7 +465,7 @@ TEST(IntrusiveLru, DirtyVictimDuringCleanPassUnderLru) {
 
   // Incoming 16x12 tile (1536 bytes) forces three victims: t0, t1, t2.
   DataHandle* big = reg.intern(b + 64 * 4, 16, 12, 16, sizeof(double));
-  auto res = c.reserve(big);
+  auto res = c.reserve(big, 0.0);
   EXPECT_EQ(res.clean_evicted, (std::vector<DataHandle*>{t0, t2}));
   EXPECT_EQ(res.dirty_evicted, (std::vector<DataHandle*>{t1}));
   EXPECT_FALSE(t1->dev[0].dirty) << "caller takes over the flush";
@@ -446,7 +483,7 @@ TEST(IntrusiveLru, ReadOnlyFirstSparesDirtyWhenCleanSuffices) {
   DeviceCache c(0, 4 * 512, EvictionPolicy::kReadOnlyFirst);
   DataHandle *t0 = tile(0), *t1 = tile(1), *t2 = tile(2), *t3 = tile(3);
   for (DataHandle* h : {t0, t1, t2, t3}) {
-    c.reserve(h);
+    c.reserve(h, 0.0);
     h->dev[0].state = ReplicaState::kValid;
   }
   c.touch(t0, 1.0);
@@ -456,7 +493,7 @@ TEST(IntrusiveLru, ReadOnlyFirstSparesDirtyWhenCleanSuffices) {
   c.set_dirty(t1, true);
 
   DataHandle* big = reg.intern(b + 64 * 4, 16, 12, 16, sizeof(double));
-  auto res = c.reserve(big);
+  auto res = c.reserve(big, 0.0);
   EXPECT_EQ(res.clean_evicted, (std::vector<DataHandle*>{t0, t2, t3}));
   EXPECT_TRUE(res.dirty_evicted.empty());
   EXPECT_TRUE(t1->dev[0].resident) << "dirty replica spared by the policy";
@@ -471,13 +508,13 @@ TEST(IntrusiveLru, TouchReordersVictims) {
   DeviceCache c(0, 2 * 512);
   DataHandle *a = tile(0), *d = tile(1);
   for (DataHandle* h : {a, d}) {
-    c.reserve(h);
+    c.reserve(h, 0.0);
     h->dev[0].state = ReplicaState::kValid;
   }
   c.touch(a, 1.0);
   c.touch(d, 2.0);
   c.touch(a, 3.0);  // re-touch moves `a` to the MRU end
-  auto res = c.reserve(tile(2));
+  auto res = c.reserve(tile(2), 0.0);
   ASSERT_EQ(res.clean_evicted.size(), 1u);
   EXPECT_EQ(res.clean_evicted[0], d);
 }
@@ -487,7 +524,7 @@ TEST(IntrusiveLru, ReleaseRefusesDirtyReplica) {
   Registry reg(1);
   DataHandle* h = reg.intern(b, 8, 8, 512, sizeof(double));
   DeviceCache c(0, 2 * 512);
-  c.reserve(h);
+  c.reserve(h, 0.0);
   h->dev[0].state = ReplicaState::kValid;
   c.set_dirty(h, true);
 #ifndef NDEBUG
@@ -517,14 +554,14 @@ TEST(EvictionPolicyTest, LruEvictsDirtyByRecency) {
   DeviceCache c(0, 1024, EvictionPolicy::kLru);  // 2 tiles
   DataHandle* dirty_old = tile(0);
   DataHandle* clean_new = tile(1);
-  c.reserve(dirty_old);
+  c.reserve(dirty_old, 0.0);
   dirty_old->dev[0].state = ReplicaState::kValid;
   c.set_dirty(dirty_old, true);
   c.touch(dirty_old, 1.0);
-  c.reserve(clean_new);
+  c.reserve(clean_new, 0.0);
   clean_new->dev[0].state = ReplicaState::kValid;
   c.touch(clean_new, 9.0);
-  auto res = c.reserve(tile(2));
+  auto res = c.reserve(tile(2), 0.0);
   // Plain LRU picks the oldest replica even though it is dirty...
   ASSERT_EQ(res.dirty_evicted.size(), 1u);
   EXPECT_EQ(res.dirty_evicted[0], dirty_old);
