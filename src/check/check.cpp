@@ -100,7 +100,7 @@ VectorClock& Checker::lane_clock(std::size_t lane) {
 
 void Checker::violation(ViolationKind kind, std::string msg) {
   ++total_violations_;
-  if (violations_.size() < cfg_.max_recorded)
+  if (violations_.size() < kMaxRecorded)
     violations_.push_back({kind, std::move(msg)});
 }
 
@@ -164,7 +164,6 @@ void Checker::stamp(TaskInfo& t, std::size_t lane) {
 }
 
 void Checker::check_reads(std::uint64_t id, TaskInfo& t) {
-  if (!cfg_.races) return;
   for (const AccessRec& a : t.accesses) {
     if (a.mode == Access::kW) continue;
     Shadow& s = *a.shadow;
@@ -186,25 +185,23 @@ void Checker::record_writes(std::uint64_t id, TaskInfo& t, int dev,
   for (const AccessRec& a : t.accesses) {
     if (a.mode == Access::kR) continue;
     Shadow& s = *a.shadow;
-    if (cfg_.races) {
-      if (s.write_task != 0 && s.write_task != id && !s.write_epoch.leq(t.vc))
+    if (s.write_task != 0 && s.write_task != id && !s.write_epoch.leq(t.vc))
+      violation(ViolationKind::kRace,
+                "race: write of tile " + std::to_string(a.handle->id) +
+                    " by task " + std::to_string(id) + " '" + t.label +
+                    "' is not ordered after write by task " +
+                    std::to_string(s.write_task) + " '" +
+                    task(s.write_task)->label + "'");
+    for (const ReaderRec& r : s.readers) {
+      if (r.task == id) continue;
+      if (!r.epoch.leq(t.vc)) {
+        const TaskInfo* rt = task(r.task);
         violation(ViolationKind::kRace,
                   "race: write of tile " + std::to_string(a.handle->id) +
                       " by task " + std::to_string(id) + " '" + t.label +
-                      "' is not ordered after write by task " +
-                      std::to_string(s.write_task) + " '" +
-                      task(s.write_task)->label + "'");
-      for (const ReaderRec& r : s.readers) {
-        if (r.task == id) continue;
-        if (!r.epoch.leq(t.vc)) {
-          const TaskInfo* rt = task(r.task);
-          violation(ViolationKind::kRace,
-                    "race: write of tile " + std::to_string(a.handle->id) +
-                        " by task " + std::to_string(id) + " '" + t.label +
-                        "' is not ordered after read by task " +
-                        std::to_string(r.task) + " '" +
-                        (rt ? rt->label : "?") + "'");
-        }
+                      "' is not ordered after read by task " +
+                      std::to_string(r.task) + " '" +
+                      (rt ? rt->label : "?") + "'");
       }
     }
     s.write_vc = t.vc;
@@ -781,7 +778,7 @@ void Checker::finalize(const StatsView& st) {
                   std::to_string(rx_aborts_seen_) + " receptions aborted");
 
   // --- progress audit ---------------------------------------------------
-  if (cfg_.progress && st.completed != st.submitted) {
+  if (st.completed != st.submitted) {
     std::size_t stuck = 0;
     std::string dump;
     for (std::uint64_t id : task_order_) {

@@ -71,11 +71,9 @@ struct Faults {
 
 struct CheckConfig {
   bool enabled = false;
-  bool races = true;      ///< vector-clock happens-before checking
-  bool coherence = true;  ///< replica-protocol invariants
-  bool progress = true;   ///< completion audit + wait-for cycle detection
-  /// Violations beyond this many are counted but not recorded verbatim.
-  std::size_t max_recorded = 64;
+  /// Replica-protocol invariants (off only where a test isolates race
+  /// reports).  Race detection and the progress audit always run.
+  bool coherence = true;
   Faults faults;  ///< test-only
 };
 
@@ -339,6 +337,8 @@ class Checker {
   /// or a promotion before finalize.
   std::size_t pending_recoveries_ = 0;
 
+  /// Violations beyond this many are counted but not recorded verbatim.
+  static constexpr std::size_t kMaxRecorded = 64;
   std::vector<Violation> violations_;
   std::size_t total_violations_ = 0;
   std::uint64_t hash_ = 14695981039346656037ull;  // FNV-1a offset basis

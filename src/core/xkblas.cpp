@@ -23,7 +23,6 @@ Context::Context(Options opt) : opt_(std::move(opt)) {
       *plat_, make_scheduler(opt_.scheduler), opt_.runtime);
 
   emit_.tile = opt_.tile;
-  emit_.attach_functional = opt_.functional_tasks;
   // Owner-computes default mapping: the paper's (P, Q) block-cyclic grid.
   emit_.home =
       xkb::blas::block_cyclic(xkb::blas::default_grid(plat_->num_gpus()));

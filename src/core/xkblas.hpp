@@ -46,8 +46,6 @@ struct Options {
   xkb::rt::RuntimeOptions runtime;
   SchedulerKind scheduler = SchedulerKind::kOwnerComputes;
   std::size_t tile = 2048;
-  /// Attach functional payloads to tasks (needed in functional platforms).
-  bool functional_tasks = true;
 };
 
 class Context {

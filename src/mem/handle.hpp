@@ -125,12 +125,8 @@ class ReplicaMap {
     return it == map_.end() ? kAbsent : it->second;
   }
 
-  /// Non-inserting lookup for hot read-mostly scans (steal locality,
-  /// device-failure purge): nullptr when the device never touched the tile.
-  const Replica* peek(int g) const {
-    const auto it = map_.find(g);
-    return it == map_.end() ? nullptr : &it->second;
-  }
+  /// Non-inserting lookup for the device-failure purge: nullptr when the
+  /// device never touched the tile.
   Replica* peek(int g) {
     const auto it = map_.find(g);
     return it == map_.end() ? nullptr : &it->second;

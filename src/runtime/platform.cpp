@@ -14,7 +14,6 @@ constexpr double kGB = 1e9;
 Platform::Platform(topo::Topology topo, PerfModel perf, PlatformOptions opt)
     : topo_(std::move(topo)), perf_(perf), opt_(opt) {
   const int n = topo_.num_gpus();
-  trace_.set_enabled(opt_.tracing);
 
   // Host links: bandwidth and route latency taken from the first GPU on
   // each link (GPUs sharing a switch share its uplink characteristics).

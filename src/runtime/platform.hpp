@@ -79,7 +79,6 @@ struct PlatformOptions {
   /// so existing configuration code keeps compiling.
   int kernel_streams = 2;
   std::size_t device_capacity = 32ull << 30;  ///< bytes per GPU (V100 32GB)
-  bool tracing = true;
   mem::EvictionPolicy eviction = mem::EvictionPolicy::kReadOnlyFirst;
 };
 

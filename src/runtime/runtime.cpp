@@ -18,11 +18,6 @@ void RuntimeOptions::validate() const {
         "RuntimeOptions::prepare_window must be >= 1 (got " +
         std::to_string(prepare_window) +
         "): a non-positive window never starts preparing any task");
-  if (steal_min_victim < 1)
-    throw std::invalid_argument(
-        "RuntimeOptions::steal_min_victim must be >= 1 (got " +
-        std::to_string(steal_min_victim) +
-        "): a victim cannot be robbed of tasks it does not have");
   if (!(task_overhead >= 0.0))
     throw std::invalid_argument(
         "RuntimeOptions::task_overhead must be a non-negative number of"
@@ -201,8 +196,7 @@ void Runtime::queue_changed(int g) {
       queued_.erase(g);
     ds.in_queued = queued;
   }
-  const bool eligible =
-      ds.assigned.size() >= static_cast<std::size_t>(opt_.steal_min_victim);
+  const bool eligible = ds.assigned.size() >= kStealMinVictim;
   if (eligible != ds.steal_eligible) {
     steal_eligible_ += eligible ? 1 : -1;
     ds.steal_eligible = eligible;
@@ -251,13 +245,13 @@ void Runtime::fill(int dev) {
 }
 
 Task* Runtime::steal_for(int thief) {
-  // No device holds steal_min_victim queued tasks: the victim scan below
+  // No device holds kStealMinVictim queued tasks: the victim scan below
   // cannot find one, so skip its O(devices) walk entirely.  The counter is
   // exact (queue_changed tracks the >= threshold per device), so this
   // early-out never changes which task is stolen.
   if (steal_eligible_ == 0) return nullptr;
   int victim = -1;
-  std::size_t most = static_cast<std::size_t>(opt_.steal_min_victim);
+  std::size_t most = kStealMinVictim;
   for (int g = 0; g < num_gpus(); ++g) {
     if (g == thief || plat_->device_failed(g)) continue;
     if (devs_[g].assigned.size() >= most) {
@@ -267,29 +261,6 @@ Task* Runtime::steal_for(int thief) {
   }
   if (victim < 0) return nullptr;
   std::deque<Task*>& q = devs_[victim].assigned;
-  if (opt_.locality_stealing) {
-    // Prefer a task with at least one operand already on the thief.  peek()
-    // keeps the probe read-only: a locality scan must not materialise
-    // replica entries on every candidate's operands.
-    for (auto it = q.rbegin(); it != q.rend(); ++it) {
-      bool local = false;
-      for (const TaskAccess& a : (*it)->desc.accesses) {
-        const mem::Replica* r = a.handle->dev.peek(thief);
-        if (r && r->state == mem::ReplicaState::kValid) {
-          local = true;
-          break;
-        }
-      }
-      if (local) {
-        Task* t = *it;
-        q.erase(std::next(it).base());
-        ++steals_;
-        queue_changed(victim);
-        return t;
-      }
-    }
-    return nullptr;  // nothing local: stay idle rather than move data
-  }
   Task* t = q.back();
   q.pop_back();
   ++steals_;

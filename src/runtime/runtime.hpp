@@ -38,13 +38,6 @@ struct RuntimeOptions {
   /// depth (and hence transient memory) like the real runtime's pending
   /// window.
   int prepare_window = 6;
-  /// A victim must have at least this many queued tasks to be stolen from.
-  int steal_min_victim = 2;
-  /// Locality-aware stealing (an XKaapi option): only steal a task if some
-  /// of its operands are already valid on the thief, scanning the victim's
-  /// queue from the back.  Reduces transfer traffic at the price of less
-  /// aggressive balancing.
-  bool locality_stealing = false;
   /// Drop read-only replicas once their consumer finishes (models streaming
   /// libraries like cuBLAS-XT that do not cache inputs across tile products).
   bool drop_inputs_after_use = false;
@@ -195,7 +188,9 @@ class Runtime {
   std::vector<DevState> devs_;
   /// Devices with a non-empty assigned queue (ascending, mirrors DevState).
   std::set<int> queued_;
-  /// Devices holding >= steal_min_victim queued tasks -- when zero, no
+  /// A victim must hold at least this many queued tasks to be stolen from.
+  static constexpr std::size_t kStealMinVictim = 2;
+  /// Devices holding >= kStealMinVictim queued tasks -- when zero, no
   /// steal_for scan can find a victim and fill_all skips idle devices.
   int steal_eligible_ = 0;
   /// Cached "ready.gpu<g>" series when an Observability layer was attached

@@ -1,21 +1,11 @@
 #include "sim/engine.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace xkb::sim {
 
 namespace {
 
-Engine::QueueImpl initial_default_impl() {
-  if (const char* env = std::getenv("XKB_ENGINE_QUEUE")) {
-    if (std::strcmp(env, "heap") == 0) return Engine::QueueImpl::kHeap;
-  }
-  return Engine::QueueImpl::kCalendar;
-}
-
 Engine::QueueImpl& default_impl_slot() {
-  static Engine::QueueImpl impl = initial_default_impl();
+  static Engine::QueueImpl impl = Engine::QueueImpl::kCalendar;
   return impl;
 }
 

@@ -35,9 +35,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine() { clear_events(); }
 
-  /// Queue implementation used by engines default-constructed afterwards.
-  /// Overridable via the XKB_ENGINE_QUEUE environment variable ("calendar"
-  /// or "heap"); the differential determinism tests flip it per run.
+  /// Queue implementation used by engines default-constructed afterwards
+  /// (the calendar queue unless set); the differential determinism tests
+  /// flip it per run.
   static QueueImpl default_queue_impl();
   static void set_default_queue_impl(QueueImpl impl);
 

@@ -8,6 +8,14 @@
 
 namespace xkb::svc {
 
+namespace {
+// Attempt k interns its tiles at kWindowBase + k * kWindowStride, above the
+// wl::Bridge default window; a graph fits when each tile gets a slot.
+constexpr std::uint64_t kWindowBase = 0x700000000000ull;
+constexpr std::uint64_t kWindowStride = 0x100000000ull;  // 4 GiB
+constexpr std::size_t kWindowTiles = kWindowStride / wl::Bridge::kTileSlot;
+}  // namespace
+
 const char* to_string(Arbitration a) {
   switch (a) {
     case Arbitration::kFairShare: return "fair-share";
@@ -58,27 +66,26 @@ void ServiceOptions::validate() const {
       brownout_low_water >= brownout_high_water)
     throw std::invalid_argument(
         "ServiceOptions brownout: need 0 <= low_water < high_water <= 1");
-  if (window_stride == 0)
-    throw std::invalid_argument("ServiceOptions::window_stride must be > 0");
 }
 
 Service::Service(rt::Runtime& runtime, ServiceOptions opt)
-    : rt_(runtime), opt_(opt) {
+    : rt_(runtime),
+      opt_(opt),
+      watchdog_(
+          runtime.platform().engine(), sim::Watchdog::Options{},
+          [this] { return in_system_; },
+          [this](std::uint64_t pending) {
+            std::ostringstream os;
+            os << "service stuck: " << pending << " jobs in system ("
+               << total_queued_ << " queued, " << running_
+               << " running) with no observable progress and nothing "
+                  "scheduled";
+            throw fault::StuckProgress(os.str());
+          }) {
   opt_.validate();
   on_deadline_ = [this](std::uint64_t id, int attempt) {
     deadline_fired(id, attempt);
   };
-  if (opt_.watchdog) {
-    watchdog_ = std::make_unique<sim::Watchdog>(
-        engine(), opt_.watchdog_opt, [this] { return in_system_; },
-        [this](std::uint64_t pending) {
-          std::ostringstream os;
-          os << "service stuck: " << pending << " jobs in system ("
-             << total_queued_ << " queued, " << running_
-             << " running) with no observable progress and nothing scheduled";
-          throw fault::StuckProgress(os.str());
-        });
-  }
 }
 
 int Service::add_tenant(TenantSpec spec) {
@@ -150,19 +157,29 @@ SubmitResult Service::submit(int tenant, JobSpec spec) {
     spec.name = tn.spec.name + "-j" + std::to_string(tn.stats.submitted);
 
   SubmitResult res;
-  if (deadline_rel > 0.0 && deadline_rel < min_service) {
-    // Unservable on arrival: the budget is below the graph's single-task
-    // lower bound, so every attempt would expire.  Straight to the
-    // dead-letter record -- no queue slot, no retries.
+  // Unservable on arrival: no attempt can launch (the tiles overflow the
+  // attempt's address window) or every attempt would expire (the budget
+  // is below the graph's single-task lower bound).  Straight to the
+  // dead-letter record -- no queue slot, no retries.
+  std::string unservable;
+  const std::size_t tiles = spec.graph->tiles.size();
+  if (tiles > kWindowTiles) {
+    unservable = std::to_string(tiles) + " tiles exceed the " +
+                 std::to_string(kWindowTiles) +
+                 "-tile address window of an attempt";
+  } else if (deadline_rel > 0.0 && deadline_rel < min_service) {
+    std::ostringstream os;
+    os << "deadline " << deadline_rel << "s below minimum service time "
+       << min_service << "s";
+    unservable = os.str();
+  }
+  if (!unservable.empty()) {
     Job& job = make_job(tenant, std::move(spec), deadline_rel, min_service);
     res.job = job.id;
     job.attempts = 0;  // never attempted
     ++in_system_;  // record_terminal releases it
     ++tn.in_system;
-    std::ostringstream os;
-    os << "deadline " << deadline_rel << "s below minimum service time "
-       << min_service << "s";
-    dead_letter(job, os.str());
+    dead_letter(job, unservable);
     res.dead_letter = true;
     return res;
   }
@@ -175,7 +192,7 @@ SubmitResult Service::submit(int tenant, JobSpec spec) {
   ++in_system_;
   ++tn.in_system;
   enqueue(job);
-  if (watchdog_) watchdog_->ensure_armed();
+  watchdog_.ensure_armed();
   pump();
   return res;
 }
@@ -270,11 +287,6 @@ void Service::pump() {
 void Service::launch(Job& job) {
   Tenant& tn = tenants_[job.tenant];
   const wl::WorkloadGraph& g = *job.spec.graph;
-  constexpr std::uint64_t kSlot = 0x1000000ull;  // wl::Bridge tile slot
-  if (g.tiles.size() * kSlot > opt_.window_stride)
-    throw ServiceError("job '" + job.spec.name + "' has " +
-                       std::to_string(g.tiles.size()) +
-                       " tiles; raise ServiceOptions::window_stride");
   job.state = JobState::kRunning;
   if (job.started < 0) job.started = engine().now();
   ++running_;
@@ -284,7 +296,7 @@ void Service::launch(Job& job) {
   tn.consumed += g.total_flops() / tn.spec.share;
 
   wl::BridgeOptions bopt;
-  bopt.base_address = opt_.window_base + launches_ * opt_.window_stride;
+  bopt.base_address = kWindowBase + launches_ * kWindowStride;
   ++launches_;
   // Owner-computes home placement, spread over the devices alive *now*;
   // jobs launched after a device failure never pick the corpse as home.
@@ -413,7 +425,7 @@ void Service::retry_fired(std::uint64_t id) {
     return;
   }
   enqueue(job);
-  if (watchdog_) watchdog_->ensure_armed();
+  watchdog_.ensure_armed();
   pump();
 }
 

@@ -26,7 +26,6 @@ bool parse_kind(const std::string& s, OpKind& out) {
 }
 
 void Trace::add(Record r) {
-  if (!enabled_) return;
   max_device_ = std::max(max_device_, r.device);
   records_.push_back(std::move(r));
 }

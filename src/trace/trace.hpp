@@ -45,8 +45,6 @@ class Trace {
  public:
   void add(Record r);
   void clear();
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool e) { enabled_ = e; }
 
   const std::vector<Record>& records() const { return records_; }
 
@@ -72,7 +70,6 @@ class Trace {
   int max_device() const { return max_device_; }
 
  private:
-  bool enabled_ = true;
   std::vector<Record> records_;
   int max_device_ = -1;
 };

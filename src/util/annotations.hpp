@@ -1,6 +1,6 @@
 // Source annotations consumed by the xkb-tidy static-analysis suite
-// (tools/lint/): machine-checkable markers for the two discipline regimes
-// the simulator's determinism story depends on.
+// (tools/lint/xkb_lint): machine-checkable markers for the two discipline
+// regimes the simulator's determinism story depends on.
 //
 //  * XKB_HOT marks a function on the engine's event hot path (schedule /
 //    dispatch / queue maintenance / cache touch-evict).  Inside an XKB_HOT
@@ -16,27 +16,18 @@
 //    engine observer): a silent callback that touched any of them would
 //    break the bit-invisible no-op-fault guarantee (DESIGN.md section 8).
 //
-// Under Clang the markers expand to [[clang::annotate(...)]] so the
-// clang-tidy plugin sees them in the AST; under other compilers they expand
-// to nothing, and the portable fallback scanner (tools/lint/xkb_lint.cpp)
-// keys on the literal macro token instead.  Annotate *definitions*, not
-// declarations: both engines scan the function body that follows the
-// marker.
+// Both markers expand to nothing: the lint driver (tools/lint/xkb_lint.cpp)
+// keys on the literal macro token and scans the function body that follows
+// it, so annotate *definitions*, not declarations.
 //
-// Suppression convention (both engines): a finding that is intentional
-// carries `// NOLINT(<check>): <one-line justification>` on its line (or
-// NOLINTNEXTLINE above it); whole-file exemptions live in
-// tools/lint/baseline.txt with a justification per entry.  A bare NOLINT
-// with no justification text is itself a lint error.
+// Suppression convention: a finding that is intentional carries
+// `// NOLINT(<check>): <one-line justification>` on its line (or
+// NOLINTNEXTLINE above it).  A bare NOLINT with no justification text is
+// itself a lint error.
 #pragma once
 
-#if defined(__clang__)
-#define XKB_HOT [[clang::annotate("xkb::hot")]]
-#define XKB_SILENT [[clang::annotate("xkb::silent")]]
-#else
 #define XKB_HOT
 #define XKB_SILENT
-#endif
 
 /// Compile-time guard that a hot-path callback's captures stay inside
 /// sim::SmallFn's inline buffer (no heap fallback when it is scheduled).

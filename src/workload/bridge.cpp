@@ -8,14 +8,14 @@ Bridge::Bridge(rt::Runtime& runtime, const WorkloadGraph& graph,
                BridgeOptions opt)
     : rt_(runtime), g_(graph), opt_(std::move(opt)) {
   g_.validate();
-  // One synthetic 16 MiB address slot per tile: origins are opaque intern
-  // keys, but disjoint slots keep the window readable in traces and leave
-  // room for the SymbolicMatrix windows below 0x600000000000.
-  constexpr std::uint64_t kSlot = 0x1000000ull;
+  // One synthetic address slot per tile: origins are opaque intern keys,
+  // but disjoint slots keep the window readable in traces and leave room
+  // for the SymbolicMatrix windows below 0x600000000000.
   handles_.reserve(g_.tiles.size());
   for (std::size_t i = 0; i < g_.tiles.size(); ++i) {
     const TileSpec& t = g_.tiles[i];
-    void* origin = reinterpret_cast<void*>(opt_.base_address + i * kSlot);
+    void* origin =
+        reinterpret_cast<void*>(opt_.base_address + i * kTileSlot);
     handles_.push_back(
         rt_.registry().intern(origin, t.m, t.n, t.m, t.wordsize));
   }

@@ -45,6 +45,9 @@ struct BridgeOptions {
 
 class Bridge {
  public:
+  /// Each tile's synthetic origin owns one 16 MiB slot of the window.
+  static constexpr std::uint64_t kTileSlot = 0x1000000ull;
+
   /// Interns one handle per graph tile, in tile-id order (so registry
   /// creation order is deterministic and matches the graph).
   Bridge(rt::Runtime& runtime, const WorkloadGraph& graph,

@@ -10,11 +10,7 @@
 #include <new>
 #include <vector>
 
-#if defined(__clang__)
-#define XKB_HOT [[clang::annotate("xkb::hot")]]
-#else
 #define XKB_HOT
-#endif
 
 namespace fixture {
 

@@ -9,11 +9,7 @@
 #include <functional>
 #include <memory>
 
-#if defined(__clang__)
-#define XKB_HOT [[clang::annotate("xkb::hot")]]
-#else
 #define XKB_HOT
-#endif
 
 namespace fixture {
 

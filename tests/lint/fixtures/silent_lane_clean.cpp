@@ -10,11 +10,7 @@
 #include <functional>
 #include <string>
 
-#if defined(__clang__)
-#define XKB_SILENT [[clang::annotate("xkb::silent")]]
-#else
 #define XKB_SILENT
-#endif
 
 namespace xkb::sim {
 using Time = double;

@@ -10,14 +10,10 @@
 #include <cstdint>
 #include <string>
 
-#if defined(__clang__)
-#define XKB_SILENT [[clang::annotate("xkb::silent")]]
-#else
 #define XKB_SILENT
-#endif
 
-// Stand-ins shaped (and namespaced) like the real engine/obs/trace types
-// so the AST engine resolves the same qualified names as in src/.
+// Stand-ins shaped (and namespaced) like the real engine/obs/trace types,
+// so the calls read as they do in src/.
 namespace xkb::sim {
 using Time = double;
 struct Engine {

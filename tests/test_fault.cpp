@@ -640,11 +640,6 @@ TEST(Options, NonsensicalRuntimeOptionsAreRejected) {
       Runtime(plat, std::make_unique<OwnerComputesScheduler>(), bad),
       std::invalid_argument);
   bad = {};
-  bad.steal_min_victim = 0;
-  EXPECT_THROW(
-      Runtime(plat, std::make_unique<OwnerComputesScheduler>(), bad),
-      std::invalid_argument);
-  bad = {};
   bad.task_overhead = -1e-6;
   EXPECT_THROW(
       Runtime(plat, std::make_unique<OwnerComputesScheduler>(), bad),

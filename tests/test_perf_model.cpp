@@ -115,13 +115,5 @@ TEST(Platform, TraceRecordsEveryOperation) {
   EXPECT_EQ(plat.trace().records().size(), 4u);
 }
 
-TEST(Platform, TracingCanBeDisabled) {
-  PlatformOptions opt;
-  opt.tracing = false;
-  Platform plat(topo::Topology::dgx1(), PerfModel{}, opt);
-  plat.copy_h2d(0, 1024, {});
-  EXPECT_TRUE(plat.trace().records().empty());
-}
-
 }  // namespace
 }  // namespace xkb::rt

@@ -447,74 +447,6 @@ TEST(Dmdas, InFlightReplicaChargedAsWaitNotFreshTransfer) {
 }  // namespace
 }  // namespace xkb::rt
 
-// Appended: locality-aware stealing option.
-namespace xkb::rt {
-namespace {
-
-TEST(Stealing, LocalityAwareRefusesRemoteTasks) {
-  PlatformOptions po;
-  Platform plat(topo::Topology::dgx1(), PerfModel{}, po);
-  RuntimeOptions ro;
-  ro.locality_stealing = true;
-  Runtime runtime(plat, std::make_unique<OwnerComputesScheduler>(), ro);
-  // 16 independent tasks homed on GPU 0 whose data lives nowhere else:
-  // locality-aware thieves find nothing local and stay idle.
-  static double bufs[16][64];
-  for (int i = 0; i < 16; ++i) {
-    mem::DataHandle* h =
-        runtime.registry().intern(bufs[i], 8, 8, 8, sizeof(double));
-    h->home_device = 0;
-    TaskDesc d;
-    d.label = "t";
-    d.accesses.push_back({h, Access::kRW});
-    d.flops = 1e9;
-    d.min_dim = 1024;
-    runtime.submit(std::move(d));
-  }
-  runtime.run();
-  EXPECT_EQ(runtime.steals(), 0u);
-  EXPECT_GT(plat.kernel_busy(0), 0.0);
-  for (int g = 1; g < 8; ++g) EXPECT_DOUBLE_EQ(plat.kernel_busy(g), 0.0);
-}
-
-TEST(Stealing, LocalityAwareStealsTasksWithLocalData) {
-  PlatformOptions po;
-  Platform plat(topo::Topology::dgx1(), PerfModel{}, po);
-  RuntimeOptions ro;
-  ro.locality_stealing = true;
-  Runtime runtime(plat, std::make_unique<OwnerComputesScheduler>(), ro);
-  static double bufs2[16][64];
-  // Replicate every input on GPU 3 first, then home all tasks on GPU 0:
-  // GPU 3 may steal them (its replicas are valid), others may not.
-  std::vector<mem::DataHandle*> hs;
-  for (int i = 0; i < 16; ++i) {
-    mem::DataHandle* h =
-        runtime.registry().intern(bufs2[i], 8, 8, 8, sizeof(double));
-    hs.push_back(h);
-    TaskDesc d;
-    d.label = "dist";
-    d.accesses.push_back({h, Access::kR});
-    d.forced_device = 3;
-    runtime.submit(std::move(d));
-  }
-  runtime.run();
-  for (int i = 0; i < 16; ++i) {
-    hs[i]->home_device = 0;
-    TaskDesc d;
-    d.label = "t";
-    d.accesses.push_back({hs[i], Access::kRW});
-    d.flops = 1e9;
-    d.min_dim = 1024;
-    runtime.submit(std::move(d));
-  }
-  runtime.run();
-  EXPECT_GT(runtime.steals(), 0u);
-  EXPECT_GT(plat.kernel_busy(3), 0.0) << "GPU 3 holds the replicas";
-}
-
-}  // namespace
-}  // namespace xkb::rt
-
 // Appended: deterministic regression for the stale-eviction-flush bug found
 // by the randomized fuzzer (tests/test_fuzz_runtime.cpp).
 namespace xkb::rt {

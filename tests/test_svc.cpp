@@ -1,6 +1,6 @@
 // xkb::svc: the admission state machine's edge cases (zero-capacity
-// queues, unservable deadlines, capped retry backoff, quotas, brownout
-// hysteresis), graceful degradation under a device failure with every
+// queues, graphs over an attempt's address window, unservable deadlines,
+// capped retry backoff, quotas, brownout hysteresis), graceful degradation under a device failure with every
 // tenant resident, the .svt trace format, and per-policy bit-identical
 // reruns of a seeded soak.
 #include <gtest/gtest.h>
@@ -105,6 +105,53 @@ TEST(Admission, QuotaBoundsATenantsJobsInSystem) {
   EXPECT_EQ(h.service->tenant_stats(id).rejected_quota, 1u);
   h.service->drain();
   EXPECT_EQ(h.service->stats().completed, 2u);
+}
+
+TEST(Admission, GraphOverTheAddressWindowDeadLettersOnSubmit) {
+  // 300 x 2 tiles: more than the 256 an attempt's address window holds.
+  const auto big = graph_of("stencil_1d:width=300,depth=1");
+  ASSERT_EQ(big->tiles.size(), 600u);
+  Harness h;  // 4 run slots
+  const int id = h.service->add_tenant({});
+
+  ASSERT_TRUE(h.service->submit(id, {"first", graph_of(kQuick), -1.0})
+                  .admitted);
+  // A run slot is free.
+  const SubmitResult free_slot = h.service->submit(id, {"big-free", big, -1.0});
+  EXPECT_FALSE(free_slot.admitted);
+  EXPECT_TRUE(free_slot.dead_letter);
+  // Every run slot is taken, so the job would queue.
+  for (const char* name : {"b1", "b2", "b3"})
+    ASSERT_TRUE(
+        h.service->submit(id, {name, graph_of(kBlocker), -1.0}).admitted);
+  ASSERT_EQ(h.service->running(), 4u);
+  const SubmitResult queued = h.service->submit(id, {"big-queued", big, -1.0});
+  EXPECT_FALSE(queued.admitted);
+  EXPECT_TRUE(queued.dead_letter);
+  ASSERT_TRUE(h.service->submit(id, {"last", graph_of(kQuick), -1.0})
+                  .admitted);
+  EXPECT_EQ(h.service->queued(), 1u);
+
+  h.service->drain();
+  const ServiceStats& st = h.service->stats();
+  EXPECT_EQ(st.submitted, 7u);
+  EXPECT_EQ(st.admitted, 5u);
+  EXPECT_EQ(st.completed, 5u);
+  EXPECT_EQ(st.dead_letters, 2u);
+  EXPECT_EQ(h.service->in_system(), 0u);
+  ASSERT_EQ(h.service->records().size(), 7u);
+  for (const JobRecord& rec : h.service->records()) {
+    if (rec.name.rfind("big-", 0) != 0) {
+      EXPECT_EQ(rec.state, JobState::kCompleted) << rec.name;
+      continue;
+    }
+    EXPECT_EQ(rec.state, JobState::kDeadLetter) << rec.name;
+    EXPECT_EQ(rec.attempts, 0) << rec.name;
+    EXPECT_EQ(rec.started, -1.0) << rec.name;
+    EXPECT_NE(rec.reason.find("600 tiles"), std::string::npos) << rec.reason;
+    EXPECT_NE(rec.reason.find("256-tile address window"), std::string::npos)
+        << rec.reason;
+  }
 }
 
 TEST(Admission, UnknownTenantThrows) {

@@ -63,13 +63,6 @@ TEST(Trace, SpanAndBytes) {
   EXPECT_EQ(t.bytes(OpKind::kDtoH), 250u);
 }
 
-TEST(Trace, DisabledTraceRecordsNothing) {
-  Trace t;
-  t.set_enabled(false);
-  t.add({0, OpKind::kKernel, 0.0, 1.0, 0, 1e9, 0, "gemm"});
-  EXPECT_TRUE(t.records().empty());
-}
-
 TEST(Trace, ClearResets) {
   Trace t = sample_trace();
   t.clear();

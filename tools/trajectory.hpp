@@ -76,14 +76,15 @@ inline void emit(std::FILE* f, const Trajectory& t,
 }
 
 /// A stderr warning when `value` fell 15 % or more below the previous
-/// point's; the hard gates stay in the tools and in CI.
-inline void warn_regression(const char* what, const Trajectory& t,
+/// point's; returns whether it warned, so a tool can gate on it.
+inline bool warn_regression(const char* what, const Trajectory& t,
                             double value) {
-  if (t.prev > 0.0 && value < 0.85 * t.prev)
-    std::fprintf(stderr,
-                 "WARNING: %s regressed %.1f%% vs the previous trajectory "
-                 "point (%.0f -> %.0f)\n",
-                 what, 100.0 * (1.0 - value / t.prev), t.prev, value);
+  if (!(t.prev > 0.0 && value < 0.85 * t.prev)) return false;
+  std::fprintf(stderr,
+               "WARNING: %s regressed %.1f%% vs the previous trajectory "
+               "point (%.0f -> %.0f)\n",
+               what, 100.0 * (1.0 - value / t.prev), t.prev, value);
+  return true;
 }
 
 }  // namespace xkb::trajectory

@@ -12,7 +12,6 @@
 //   xkbsim_cli --workload-file traces/pipeline.wlg --lib xkblas --csv
 //   xkbsim_cli --workload dnn:width=6,depth=4 --dump-wlg > pipeline.wlg
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -83,8 +82,7 @@ void usage() {
       "                 link histograms, critical path, event hash) to file\n"
       "                 F, for offline diffing with tools/run_diff\n"
       "  --selfprof     attach the host self-profiler and print the\n"
-      "                 per-phase self-time table after the run (also via\n"
-      "                 XKB_SELFPROF=1 in the environment)\n"
+      "                 per-phase self-time table after the run\n"
       "  --flight-out F write the crash flight-recorder dump (last-N\n"
       "                 observable events + decisions + ledger snapshot,\n"
       "                 schema xkb.obs.flight/1) to F if the run fails\n"
@@ -179,11 +177,9 @@ int main(int argc, char** argv) {
   // The self-profiler reads wall clock only; it never feeds virtual time,
   // so the pinned event hash is identical with and without it attached.
   prof::SelfProfiler sprof;
-  const bool selfprof_on =
-      selfprof || std::getenv("XKB_SELFPROF") != nullptr;
-  if (selfprof_on) prof::SelfProfiler::activate(&sprof);
+  if (selfprof) prof::SelfProfiler::activate(&sprof);
   const auto selfprof_report = [&] {
-    if (!selfprof_on) return;
+    if (!selfprof) return;
     prof::SelfProfiler::activate(nullptr);
     std::printf("%s", sprof.table_text().c_str());
   };
