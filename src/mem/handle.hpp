@@ -17,13 +17,17 @@
 // with ld == m, mirroring the paper's cudaMemcpy2D compaction.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/small_fn.hpp"
+#include "util/slab.hpp"
 
 namespace xkb::mem {
 
@@ -97,6 +101,28 @@ struct Replica {
   bool touch_pending = false;
 };
 
+/// Storage for the replica entries of every handle of one Registry:
+/// fixed-size blocks, allocated as they fill up.  An entry is never moved,
+/// erased or freed before the pool itself dies, which is what keeps a
+/// `Replica&` valid for as long as its handle: DeviceCache lists link
+/// Replica entries of different handles to each other, and engine
+/// callbacks hold them across events.
+class ReplicaPool {
+ public:
+  using Entry = std::pair<const int, Replica>;
+  /// Entries per block (about 34 KB).
+  static constexpr std::size_t kBlock = 256;
+
+  Entry* make(int g) {
+    return slab_.emplace(std::piecewise_construct, std::forward_as_tuple(g),
+                         std::forward_as_tuple());
+  }
+  std::size_t size() const { return slab_.size(); }
+
+ private:
+  util::Slab<Entry, kBlock> slab_;
+};
+
 /// Sparse per-device replica table.  Historically every handle carried a
 /// dense `std::vector<Replica>` sized num_devices -- on a 1024-device fat
 /// tree that is a megabyte-scale allocation per *tile*, dominated by
@@ -105,48 +131,116 @@ struct Replica {
 /// (kInvalid, clean, unpinned), so reads of untouched devices go through the
 /// const accessors and observe exactly what the dense table held.
 ///
-/// Entries are never erased: DeviceCache lists link Replica entries of
-/// different handles to each other, and std::map's stable node addresses are
-/// what make those links (and the `Replica&` references held across engine
-/// callbacks) safe.  "Active" therefore means ever-touched, which is bounded
-/// by the devices a tile actually visited -- the O(active) the topo_bench
-/// memory gate measures.  Iteration is ascending by device id, matching the
-/// historical `for (g = 0; g < n; ++g)` scan order wherever a dense loop was
-/// converted to an active-entry walk (determinism: identical effect order).
+/// The map is a flat index sorted by device, each slot naming an entry
+/// drawn from the Registry's ReplicaPool.  Entries are never erased or
+/// moved (the pool guarantees it), so a `Replica&` stays valid across later
+/// inserts; only the index is rearranged.  An iterator, by contrast, walks
+/// the index and must not be held across an insert.  A lookup probes the
+/// index linearly up to kLinearProbe slots and binary-searches beyond
+/// (a broadcast tile on a fat tree can be valid on hundreds of devices).
+/// "Active" means ever-touched, bounded by the devices a tile actually
+/// visited -- the O(active) the topo_bench memory gate measures.
+/// Iteration is ascending by device id, matching the historical
+/// `for (g = 0; g < n; ++g)` scan order wherever a dense loop was converted
+/// to an active-entry walk (determinism: identical effect order).
 class ReplicaMap {
+  using Entry = ReplicaPool::Entry;
+  struct Slot {
+    int dev;
+    Entry* entry;
+  };
+
+  /// Walks the index, yielding the entries (what range-for needs).
+  template <bool Const>
+  class Iter {
+    using SlotPtr = std::conditional_t<Const, const Slot*, Slot*>;
+
+   public:
+    explicit Iter(SlotPtr p) : p_(p) {}
+    std::conditional_t<Const, const Entry&, Entry&> operator*() const {
+      return *p_->entry;
+    }
+    Iter& operator++() {
+      ++p_;
+      return *this;
+    }
+    bool operator==(const Iter&) const = default;
+
+   private:
+    SlotPtr p_;
+  };
+
  public:
+  /// Linear probing up to this many materialised entries.
+  static constexpr std::size_t kLinearProbe = 8;
+
+  explicit ReplicaMap(ReplicaPool& pool) : pool_(&pool) {}
+  ReplicaMap(const ReplicaMap&) = delete;
+  ReplicaMap& operator=(const ReplicaMap&) = delete;
+
   /// Mutable access materialises the entry (default Replica on first touch).
-  Replica& operator[](int g) { return map_[g]; }
+  Replica& operator[](int g) {
+    Slot* const end = index_.data() + index_.size();
+    Slot* s = lower_bound(index_.data(), end, g);
+    if (s != end && s->dev == g) return s->entry->second;
+    const auto pos = s - index_.data();
+    if (index_.capacity() == 0) index_.reserve(4);
+    Entry* e = pool_->make(g);
+    index_.insert(index_.begin() + pos, {g, e});
+    return e->second;
+  }
 
   /// Const access never inserts: untouched devices read as the default
   /// (invalid) replica.
   const Replica& operator[](int g) const {
-    const auto it = map_.find(g);
-    return it == map_.end() ? kAbsent : it->second;
+    const Slot* s = find(g);
+    return s ? s->entry->second : kAbsent;
   }
 
   /// Non-inserting lookup for the device-failure purge: nullptr when the
   /// device never touched the tile.
   Replica* peek(int g) {
-    const auto it = map_.find(g);
-    return it == map_.end() ? nullptr : &it->second;
+    const Slot* s = find(g);
+    return s ? &s->entry->second : nullptr;
   }
 
   /// Number of materialised entries (the topo_bench memory gate).
-  std::size_t active() const { return map_.size(); }
+  std::size_t active() const { return index_.size(); }
 
   // Ascending-by-device iteration over materialised entries.
-  auto begin() { return map_.begin(); }
-  auto end() { return map_.end(); }
-  auto begin() const { return map_.begin(); }
-  auto end() const { return map_.end(); }
+  Iter<false> begin() { return Iter<false>(index_.data()); }
+  Iter<false> end() { return Iter<false>(index_.data() + index_.size()); }
+  Iter<true> begin() const { return Iter<true>(index_.data()); }
+  Iter<true> end() const {
+    return Iter<true>(index_.data() + index_.size());
+  }
 
  private:
-  std::map<int, Replica> map_;
+  /// First slot of [s, e) whose device is not below `g`.
+  template <class S>
+  static S* lower_bound(S* s, S* e, int g) {
+    if (e - s <= static_cast<std::ptrdiff_t>(kLinearProbe)) {
+      while (s != e && s->dev < g) ++s;
+      return s;
+    }
+    return std::lower_bound(s, e, g,
+                            [](const Slot& x, int d) { return x.dev < d; });
+  }
+  const Slot* find(int g) const {
+    const Slot* const end = index_.data() + index_.size();
+    const Slot* s = lower_bound(index_.data(), end, g);
+    return s != end && s->dev == g ? s : nullptr;
+  }
+
+  ReplicaPool* pool_;
+  std::vector<Slot> index_;
   inline static const Replica kAbsent{};
 };
 
 struct DataHandle {
+  /// `pool` holds the handle's replica entries and must outlive it.
+  explicit DataHandle(ReplicaPool& pool) : dev(pool) {}
+
   std::uint64_t id = 0;
 
   // Host memory view (the paper's (m, n, ld, wordsize) tuple).

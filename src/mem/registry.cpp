@@ -16,7 +16,7 @@ DataHandle* Registry::intern(void* origin, std::size_t m, std::size_t n,
           "composed XKBlas calls must use a consistent blocking");
     return h;
   }
-  auto h = std::make_unique<DataHandle>();
+  auto h = std::make_unique<DataHandle>(pool_);
   h->id = next_id_++;
   h->host_ptr = origin;
   h->m = m;
@@ -25,7 +25,7 @@ DataHandle* Registry::intern(void* origin, std::size_t m, std::size_t n,
   h->wordsize = wordsize;
   h->host.state = ReplicaState::kValid;  // user data starts on the host
   h->host.resident = true;
-  // Device replicas materialise lazily on first touch (ReplicaMap).
+  // Device replicas materialise lazily on first touch, in pool_.
   DataHandle* raw = h.get();
   order_.push_back(raw);
   handles_.emplace(origin, std::move(h));

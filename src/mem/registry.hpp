@@ -40,6 +40,9 @@ class Registry {
 
  private:
   int num_devices_;
+  /// Every handle's replica entries.  Declared before handles_ so that it
+  /// outlives every ReplicaMap drawing from it.
+  ReplicaPool pool_;
   std::unordered_map<void*, std::unique_ptr<DataHandle>> handles_;
   std::vector<DataHandle*> order_;
   std::uint64_t next_id_ = 1;

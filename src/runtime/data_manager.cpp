@@ -53,6 +53,26 @@ std::string abort_detail(OpKind k, const mem::DataHandle& h, int src, int dst,
   return os.str();
 }
 
+/// Append `x` to a replica's waiter or chain list.  A list without storage
+/// first takes a spare, so a steady-state reception allocates nothing.
+template <class T>
+void attach(std::vector<T>& list, std::vector<std::vector<T>>& spares, T x) {
+  if (list.capacity() == 0 && !spares.empty()) {
+    list = std::move(spares.back());
+    spares.pop_back();
+  }
+  list.push_back(std::move(x));
+}
+
+/// Hand a list detached from its replica, its entries consumed, back as a
+/// spare.  Detaching before running the entries matters: a waiter may
+/// queue a new one on the same replica (an eviction and a refetch).
+template <class T>
+void recycle(std::vector<T>&& list, std::vector<std::vector<T>>& spares) {
+  list.clear();
+  if (list.capacity() != 0) spares.push_back(std::move(list));
+}
+
 }  // namespace
 
 void DataManager::acquire(mem::DataHandle* h, int dev, Access mode,
@@ -115,7 +135,7 @@ void DataManager::ensure_valid(mem::DataHandle* h, int dev,
   }
   if (r.state == mem::ReplicaState::kInFlight) {
     plat_->report_cache_ref(dev, obs::CacheRef::kInFlightHit);
-    r.waiters.push_back(std::move(done));
+    attach(r.waiters, spare_waiters_, std::move(done));
     return;
   }
 
@@ -127,7 +147,7 @@ void DataManager::ensure_valid(mem::DataHandle* h, int dev,
   if (plat_->options().functional && h->dev_buf[dev].size() != h->bytes())
     h->dev_buf[dev].resize(h->bytes());
   r.state = mem::ReplicaState::kInFlight;
-  r.waiters.push_back(std::move(done));
+  attach(r.waiters, spare_waiters_, std::move(done));
   plan_fetch(h, dev);
 }
 
@@ -168,13 +188,13 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
       r.eta = h->dev[g].eta;  // rough: refined when the copy is issued
       r.fetch_src = g;
       r.fetch_waiting = true;
-      h->dev[g].chained_dsts.push_back(dev);
+      attach(h->dev[g].chained_dsts, spare_chains_, dev);
       break;
     }
     case SourceKind::kWaitHost:
       r.fetch_src = mem::kFetchHost;
       r.fetch_waiting = true;
-      h->host.chained_dsts.push_back(dev);
+      attach(h->host.chained_dsts, spare_chains_, dev);
       break;
     case SourceKind::kNone:
       // Park until the pending replay's mark_written re-plans.
@@ -394,7 +414,7 @@ void DataManager::reception_failed(mem::DataHandle* h, int src, int dst) {
   plat_->engine().schedule_after(delay, std::move(retry));
 }
 
-void DataManager::complete_arrival(mem::DataHandle* h, int dev) {
+XKB_HOT void DataManager::complete_arrival(mem::DataHandle* h, int dev) {
   mem::Replica& r = h->dev[dev];
   assert(r.state == mem::ReplicaState::kInFlight);
   r.state = mem::ReplicaState::kValid;
@@ -406,8 +426,7 @@ void DataManager::complete_arrival(mem::DataHandle* h, int dev) {
   // Forward to every reception chained on this arrival (Section III-C).
   // Chains cancelled by recovery removed themselves from the list, so
   // whatever is left is still waiting on us.
-  auto chains = std::move(r.chained_dsts);
-  r.chained_dsts.clear();
+  std::vector<int> chains = std::exchange(r.chained_dsts, {});
   for (int d : chains) {
     mem::Replica& rd = h->dev[d];
     if (rd.state == mem::ReplicaState::kInFlight && rd.fetch_waiting &&
@@ -417,9 +436,10 @@ void DataManager::complete_arrival(mem::DataHandle* h, int dev) {
       unpin(h, dev);  // stale entry: drop its registration pin
     }
   }
-  auto waiters = std::move(r.waiters);
-  r.waiters.clear();
+  recycle(std::move(chains), spare_chains_);
+  std::vector<sim::Callback> waiters = std::exchange(r.waiters, {});
   for (auto& w : waiters) w();
+  recycle(std::move(waiters), spare_waiters_);
 }
 
 void DataManager::mark_written(mem::DataHandle* h, int dev) {
@@ -477,9 +497,9 @@ void DataManager::mark_written(mem::DataHandle* h, int dev) {
   if (was_parked) {
     // The replay landed on the very device a parked fetch was promised to:
     // the write itself satisfies the promise.
-    auto waiters = std::move(r.waiters);
-    r.waiters.clear();
+    std::vector<sim::Callback> waiters = std::exchange(r.waiters, {});
     for (auto& w : waiters) w();
+    recycle(std::move(waiters), spare_waiters_);
   }
   for (int g : parked) replan_fetch(h, g);
   if (reflush_host) flush_from_device(h, dev, /*drop_buffer=*/false);
@@ -513,14 +533,14 @@ void DataManager::host_write(mem::DataHandle* h) {
   for (int g : parked) replan_fetch(h, g);
   // Receptions chained on a host flush promise: the CPU write supersedes
   // the flush, so feed them from the (now valid) host copy directly.
-  auto chains = std::move(h->host.chained_dsts);
-  h->host.chained_dsts.clear();
+  std::vector<int> chains = std::exchange(h->host.chained_dsts, {});
   for (int d : chains) {
     mem::Replica& rd = h->dev[d];
     if (rd.state == mem::ReplicaState::kInFlight && rd.fetch_waiting &&
         rd.fetch_src == mem::kFetchHost)
       issue_h2d(h, d);
   }
+  recycle(std::move(chains), spare_chains_);
 }
 
 void DataManager::flush_to_host(mem::DataHandle* h, sim::Callback done) {
@@ -529,7 +549,7 @@ void DataManager::flush_to_host(mem::DataHandle* h, sim::Callback done) {
     return;
   }
   if (h->host.state == mem::ReplicaState::kInFlight) {
-    h->host.waiters.push_back(std::move(done));
+    attach(h->host.waiters, spare_waiters_, std::move(done));
     return;
   }
   const int src = h->dirty_device();
@@ -540,10 +560,10 @@ void DataManager::flush_to_host(mem::DataHandle* h, sim::Callback done) {
            "host invalid but no device holds a dirty copy");
     h->host.state = mem::ReplicaState::kInFlight;
     h->host.fetch_src = mem::kFetchIdle;
-    h->host.waiters.push_back(std::move(done));
+    attach(h->host.waiters, spare_waiters_, std::move(done));
     return;
   }
-  h->host.waiters.push_back(std::move(done));
+  attach(h->host.waiters, spare_waiters_, std::move(done));
   flush_from_device(h, src, /*drop_buffer=*/false);  // pins src internally
 }
 
@@ -604,18 +624,18 @@ void DataManager::flush_from_device(mem::DataHandle* h, int src,
     if (h->dev[src].resident) plat_->cache(src).set_dirty(h, false);
     h->host.state = mem::ReplicaState::kValid;
     h->host.fetch_attempts = 0;
-    auto waiters = std::move(h->host.waiters);
-    h->host.waiters.clear();
+    std::vector<sim::Callback> waiters = std::exchange(h->host.waiters, {});
     for (auto& w : waiters) w();
+    recycle(std::move(waiters), spare_waiters_);
     // Receptions that chained on this flush (kWaitHost): fetch them now.
-    auto chains = std::move(h->host.chained_dsts);
-    h->host.chained_dsts.clear();
+    std::vector<int> chains = std::exchange(h->host.chained_dsts, {});
     for (int d : chains) {
       mem::Replica& rd = h->dev[d];
       if (rd.state == mem::ReplicaState::kInFlight && rd.fetch_waiting &&
           rd.fetch_src == mem::kFetchHost)
         issue_h2d(h, d);
     }
+    recycle(std::move(chains), spare_chains_);
   });
 }
 
@@ -713,8 +733,9 @@ void DataManager::on_device_failure(
     }
     r.state = mem::ReplicaState::kInvalid;
     r.pins = 0;
-    r.waiters.clear();
-    r.chained_dsts.clear();  // dependents re-plan in pass 3
+    recycle(std::exchange(r.waiters, {}), spare_waiters_);
+    // Dependents re-plan in pass 3.
+    recycle(std::exchange(r.chained_dsts, {}), spare_chains_);
     r.fetch_gen++;  // cancel any airborne copy toward g
     r.fetch_src = mem::kFetchIdle;
     r.fetch_waiting = false;

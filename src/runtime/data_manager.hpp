@@ -182,6 +182,11 @@ class DataManager {
   /// being replayed; mark_written clears the entry and re-plans parked
   /// fetches.
   std::unordered_set<const mem::DataHandle*> replay_pending_;
+  /// Spare waiter and chain lists, handed back by drained receptions and
+  /// flushes and taken by the next ones, so no replica keeps its own
+  /// capacity: at most one spare per reception that was ever concurrent.
+  std::vector<std::vector<sim::Callback>> spare_waiters_;
+  std::vector<std::vector<int>> spare_chains_;
 };
 
 }  // namespace xkb::rt

@@ -245,10 +245,14 @@ void Platform::report_source(const mem::DataHandle& h, int dst,
     d.pick = k;
     d.picked_dev = src;
     d.forced = forced;
-    for (int g : h.valid_devices())
-      d.candidates.push_back({g, topo_.p2p_perf_rank(g, dst), false});
-    for (int g : h.inflight_devices())
-      if (g != dst)
+    // The ledger's candidate order: valid replicas, then receptions other
+    // than dst's, each ascending by device.
+    d.candidates.reserve(h.dev.active());
+    for (const auto& [g, r] : h.dev)
+      if (r.state == mem::ReplicaState::kValid)
+        d.candidates.push_back({g, topo_.p2p_perf_rank(g, dst), false});
+    for (const auto& [g, r] : h.dev)
+      if (r.state == mem::ReplicaState::kInFlight && g != dst)
         d.candidates.push_back({g, topo_.p2p_perf_rank(g, dst), true});
     obs_->on_decision(std::move(d));
   }

@@ -1,6 +1,7 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
@@ -32,7 +33,8 @@ Runtime::Runtime(Platform& plat, std::unique_ptr<Scheduler> sched,
       opt_(opt),
       registry_(plat.num_gpus()),
       dm_(plat, opt.heuristics),
-      devs_(plat.num_gpus()) {
+      devs_(plat.num_gpus()),
+      queued_((static_cast<std::size_t>(plat.num_gpus()) + 63) / 64) {
   opt_.validate();  // before any observer is registered on the engine
   if (opt_.check.enabled) {
     checker_ = std::make_unique<check::Checker>(
@@ -74,8 +76,7 @@ Runtime::HandleSeq& Runtime::seq(const mem::DataHandle* h) {
 }
 
 Task* Runtime::new_task(TaskDesc desc) {
-  tasks_.push_back(std::make_unique<Task>(std::move(desc)));
-  Task* t = tasks_.back().get();
+  Task* t = tasks_.emplace(std::move(desc));
   t->id = next_id_++;
   ++submitted_;
   return t;
@@ -84,19 +85,17 @@ Task* Runtime::new_task(TaskDesc desc) {
 void Runtime::submit(TaskDesc desc) {
   Task* t = new_task(std::move(desc));
   // Derive dependencies from program order of accesses.
-  std::vector<Task*> preds;
+  preds_.clear();
   for (const TaskAccess& a : t->desc.accesses) {
     HandleSeq& hs = seq(a.handle);
+    if (hs.last_writer && !hs.last_writer->done)
+      preds_.push_back(hs.last_writer);
     if (a.mode == Access::kR) {
-      if (hs.last_writer && !hs.last_writer->done)
-        preds.push_back(hs.last_writer);
-      hs.readers.push_back(t);
+      edges_.append(hs.readers, t);
     } else {
-      if (hs.last_writer && !hs.last_writer->done)
-        preds.push_back(hs.last_writer);
-      for (Task* r : hs.readers)
-        if (!r->done && r != t) preds.push_back(r);
-      hs.readers.clear();
+      for (const util::Link<Task*>* r = hs.readers.head; r; r = r->next)
+        if (!r->value->done && r->value != t) preds_.push_back(r->value);
+      edges_.release(hs.readers);
       hs.last_writer = t;
     }
   }
@@ -105,18 +104,15 @@ void Runtime::submit(TaskDesc desc) {
     // detector must catch the resulting unordered accesses).
     const check::Faults& f = checker_->faults();
     if (f.skip_edge_succ == t->id)
-      preds.erase(std::remove_if(preds.begin(), preds.end(),
-                                 [&](Task* p) {
-                                   return p->id == f.skip_edge_pred;
-                                 }),
-                  preds.end());
+      std::erase_if(preds_,
+                    [&](Task* p) { return p->id == f.skip_edge_pred; });
   }
-  enqueue(t, std::move(preds));
+  enqueue(t);
 }
 
 Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
   Task* t = new_task(std::move(desc));
-  std::vector<Task*> preds;
+  preds_.clear();
   for (const TaskAccess& a : t->desc.accesses) {
     HandleSeq& hs = seq(a.handle);
     if (a.handle == out && a.mode != Access::kR) {
@@ -128,34 +124,35 @@ Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
       if (!hs.last_writer || hs.last_writer->done) hs.last_writer = t;
       continue;
     }
-    if (hs.last_writer && !hs.last_writer->done) preds.push_back(hs.last_writer);
-    hs.readers.push_back(t);
+    if (hs.last_writer && !hs.last_writer->done)
+      preds_.push_back(hs.last_writer);
+    edges_.append(hs.readers, t);
   }
-  enqueue(t, std::move(preds));
+  enqueue(t);
   return t;
 }
 
-void Runtime::enqueue(Task* t, std::vector<Task*> preds) {
+void Runtime::enqueue(Task* t) {
   // Dedup in *id* order, never pointer order: sorting Task pointers would
   // bake heap addresses into pred_ids (an xkb-address-ordering violation)
   // and force every downstream consumer to re-sort defensively.
-  std::sort(preds.begin(), preds.end(),
+  std::sort(preds_.begin(), preds_.end(),
             [](const Task* a, const Task* b) { return a->id < b->id; });
-  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
-  preds.erase(std::remove(preds.begin(), preds.end(), t), preds.end());
-  for (Task* p : preds) {
-    p->successors.push_back(t);
+  preds_.erase(std::unique(preds_.begin(), preds_.end()), preds_.end());
+  std::erase(preds_, t);
+  for (Task* p : preds_) {
+    edges_.append(p->successors, t);
     ++t->pending_deps;
   }
   if (checker_) {
-    std::vector<std::pair<const mem::DataHandle*, Access>> acc;
-    acc.reserve(t->desc.accesses.size());
+    checker_acc_.clear();
     for (const TaskAccess& a : t->desc.accesses)
-      acc.emplace_back(a.handle, a.mode);
+      checker_acc_.emplace_back(a.handle, a.mode);
     std::vector<std::uint64_t> pred_ids;
-    pred_ids.reserve(preds.size());
-    for (Task* p : preds) pred_ids.push_back(p->id);
-    checker_->on_submit(t->id, t->desc.label, acc, std::move(pred_ids));
+    pred_ids.reserve(preds_.size());
+    for (Task* p : preds_) pred_ids.push_back(p->id);
+    checker_->on_submit(t->id, t->desc.label, checker_acc_,
+                        std::move(pred_ids));
   }
   if (watchdog_) watchdog_->ensure_armed();
   if (t->pending_deps == 0) on_ready(t);
@@ -188,14 +185,11 @@ void Runtime::on_ready(Task* t) {
 
 void Runtime::queue_changed(int g) {
   DevState& ds = devs_[g];
-  const bool queued = !ds.assigned.empty();
-  if (queued != ds.in_queued) {
-    if (queued)
-      queued_.insert(g);
-    else
-      queued_.erase(g);
-    ds.in_queued = queued;
-  }
+  const std::uint64_t bit = std::uint64_t{1} << (g % 64);
+  if (ds.assigned.empty())
+    queued_[g / 64] &= ~bit;
+  else
+    queued_[g / 64] |= bit;
   const bool eligible = ds.assigned.size() >= kStealMinVictim;
   if (eligible != ds.steal_eligible) {
     steal_eligible_ += eligible ? 1 : -1;
@@ -203,7 +197,7 @@ void Runtime::queue_changed(int g) {
   }
 }
 
-void Runtime::fill_all() {
+XKB_HOT void Runtime::fill_all() {
   // A device can start work only if it has queued tasks or can steal some.
   // When no victim is steal-eligible, fill(g) of an unqueued device is a
   // no-op (its own queue is empty and steal_for early-outs), so walking the
@@ -214,10 +208,20 @@ void Runtime::fill_all() {
   if (sched_->allows_stealing() && steal_eligible_ > 0) {
     for (int g = 0; g < num_gpus(); ++g) fill(g);
   } else {
-    // Local snapshot: fill() mutates queued_, and a zero-operand task can
-    // complete synchronously and re-enter fill_all() mid-walk.
-    const std::vector<int> snapshot(queued_.begin(), queued_.end());
-    for (int g : snapshot) fill(g);
+    // A snapshot per call: fill() mutates queued_, and a zero-operand task
+    // can complete synchronously and re-enter fill_all() mid-walk.
+    const std::size_t words = queued_.size();
+    std::uint64_t stack[kQueuedStackWords];
+    std::vector<std::uint64_t> heap;
+    std::uint64_t* snap = stack;
+    if (words > kQueuedStackWords) {
+      heap.resize(words);
+      snap = heap.data();
+    }
+    std::copy(queued_.begin(), queued_.end(), snap);
+    for (std::size_t w = 0; w < words; ++w)
+      for (std::uint64_t bits = snap[w]; bits != 0; bits &= bits - 1)
+        fill(static_cast<int>(w * 64) + std::countr_zero(bits));
   }
   if (!ready_series_.empty()) {
     const sim::Time now = plat_->engine().now();
@@ -323,10 +327,9 @@ void Runtime::on_kernel_done(Task* t) {
     if (a.mode != Access::kR) dm_.mark_written(a.handle, dev);
   // Replay bookkeeping: remember what this task produced and what versions
   // it consumed (a replay is only sound while its inputs are unchanged).
-  t->access_versions.clear();
-  t->access_versions.reserve(t->desc.accesses.size());
+  versions_.release(t->access_versions);
   for (const TaskAccess& a : t->desc.accesses)
-    t->access_versions.push_back(a.handle->version);
+    versions_.append(t->access_versions, a.handle->version);
   for (const TaskAccess& a : t->desc.accesses)
     if (a.mode != Access::kR) seq(a.handle).version_writer = t;
   for (const TaskAccess& a : t->desc.accesses) dm_.unpin(a.handle, dev);
@@ -374,7 +377,7 @@ void Runtime::run_host_task(Task* t) {
   }
 }
 
-void Runtime::complete(Task* t) {
+XKB_HOT void Runtime::complete(Task* t) {
   assert(!t->done);
   t->done = true;
   ++completed_;
@@ -388,8 +391,11 @@ void Runtime::complete(Task* t) {
     }
   }
   if (t->desc.on_complete) t->desc.on_complete();
-  for (Task* s : t->successors)
-    if (--s->pending_deps == 0) on_ready(s);
+  // No snapshot needed: a done task gains no successors, and its links go
+  // back to the pool only after the walk.
+  for (const util::Link<Task*>* s = t->successors.head; s; s = s->next)
+    if (--s->value->pending_deps == 0) on_ready(s->value);
+  edges_.release(t->successors);
   fill_all();
 }
 
@@ -406,11 +412,10 @@ void Runtime::on_device_failure(int g) {
   devs_[g].assigned.clear();
   queue_changed(g);
   std::vector<Task*> inflight;
-  for (const auto& up : tasks_) {
-    Task* t = up.get();
-    if (!t->done && t->prepared && !t->desc.host_task && t->device == g)
-      inflight.push_back(t);
-  }
+  tasks_.for_each([&](Task& t) {
+    if (!t.done && t.prepared && !t.desc.host_task && t.device == g)
+      inflight.push_back(&t);
+  });
   devs_[g].preparing = 0;
 
   // Replica recovery.  The callback only *validates* producer replays and
@@ -464,8 +469,8 @@ bool Runtime::replay_producer(mem::DataHandle* h, std::string& reason) {
   }
   if (!p->done) return true;  // its in-flight re-execution rewrites the tile
   int writes = 0;
-  for (std::size_t i = 0; i < p->desc.accesses.size(); ++i) {
-    const TaskAccess& a = p->desc.accesses[i];
+  const util::Link<std::uint64_t>* consumed = p->access_versions.head;
+  for (const TaskAccess& a : p->desc.accesses) {
     if (a.mode == Access::kRW) {
       reason = "producer '" + p->desc.label + "' (task " +
                std::to_string(p->id) +
@@ -474,15 +479,16 @@ bool Runtime::replay_producer(mem::DataHandle* h, std::string& reason) {
       return false;
     }
     if (a.mode == Access::kW) ++writes;
-    if (a.mode == Access::kR && i < p->access_versions.size() &&
-        a.handle->version != p->access_versions[i]) {
+    if (a.mode == Access::kR && consumed &&
+        a.handle->version != consumed->value) {
       reason = "input tile " + std::to_string(a.handle->id) +
                " of producer '" + p->desc.label +
                "' was overwritten after it ran (version " +
                std::to_string(a.handle->version) + ", consumed " +
-               std::to_string(p->access_versions[i]) + ")";
+               std::to_string(consumed->value) + ")";
       return false;
     }
+    if (consumed) consumed = consumed->next;
   }
   if (writes != 1) {
     reason = "producer '" + p->desc.label + "' writes " +
@@ -518,8 +524,8 @@ void Runtime::on_stuck(std::uint64_t pending) {
   os << "no observable progress while " << pending
      << " tasks are outstanding; first stuck tasks:";
   int shown = 0;
-  for (const auto& up : tasks_) {
-    const Task* t = up.get();
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const Task* t = &tasks_[i];
     if (t->done) continue;
     if (++shown > 8) {
       os << "\n  ...";

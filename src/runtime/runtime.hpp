@@ -13,9 +13,9 @@
 //   loaded peer (OwnerComputesScheduler only).
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "check/check.hpp"
@@ -25,6 +25,7 @@
 #include "runtime/scheduler.hpp"
 #include "runtime/task.hpp"
 #include "sim/watchdog.hpp"
+#include "util/slab.hpp"
 
 namespace xkb::obs {
 class Series;
@@ -58,6 +59,9 @@ struct RuntimeOptions {
 
 class Runtime {
  public:
+  /// Task records per slab block.
+  static constexpr std::size_t kTaskBlock = 256;
+
   Runtime(Platform& plat, std::unique_ptr<Scheduler> sched,
           RuntimeOptions opt = {});
   ~Runtime();
@@ -128,12 +132,12 @@ class Runtime {
   struct DevState {
     std::deque<Task*> assigned;
     int preparing = 0;
-    bool in_queued = false;       ///< membership in Runtime::queued_
     bool steal_eligible = false;  ///< counted in Runtime::steal_eligible_
   };
   struct HandleSeq {
     Task* last_writer = nullptr;
-    std::vector<Task*> readers;
+    /// Readers since the last writer, in submission order (edges_ links).
+    util::LinkList<Task*> readers;
     /// The completed task whose write produced the handle's current
     /// version -- the one a replay must re-execute (last_writer may be a
     /// later, not-yet-run writer).
@@ -167,12 +171,17 @@ class Runtime {
   /// not ordered before it (ordering them first would deadlock).
   Task* submit_replay(TaskDesc desc, mem::DataHandle* out);
   /// What both submit paths share: create the task record, then (enqueue)
-  /// wire it after its deduplicated `preds`, report the submission to the
-  /// checker, and make it ready when nothing blocks it.
+  /// wire it after its deduplicated predecessors in preds_, report the
+  /// submission to the checker, and make it ready when nothing blocks it.
+  /// enqueue is done with preds_ before on_ready, which can re-enter
+  /// submit and refill it.
   Task* new_task(TaskDesc desc);
-  void enqueue(Task* t, std::vector<Task*> preds);
+  void enqueue(Task* t);
   int pick_alive_device(Task* t);
   [[noreturn]] void on_stuck(std::uint64_t pending);
+
+  /// Links per block of the edge and version pools (8 KB).
+  static constexpr std::size_t kLinkBlock = 512;
 
   Platform* plat_;
   std::unique_ptr<Scheduler> sched_;
@@ -181,13 +190,29 @@ class Runtime {
   mem::Registry registry_;
   DataManager dm_;
 
-  std::vector<std::unique_ptr<Task>> tasks_;
+  /// Every task record, in id order (task id k lives at index k - 1).
+  /// Blocks are allocated as they fill; teardown destroys the records in
+  /// place and frees whole blocks.
+  util::Slab<Task, kTaskBlock> tasks_;
+  /// Successor edges and per-tile reader lists.  A list goes back to the
+  /// pool once walked for the last time (a completed task's successors, a
+  /// tile's readers when the next writer arrives).
+  util::LinkPool<Task*, kLinkBlock> edges_;
+  /// The versions each completed task consumed (Task::access_versions).
+  util::LinkPool<std::uint64_t, kLinkBlock> versions_;
+  /// submit's predecessor scratch, consumed by enqueue.
+  std::vector<Task*> preds_;
+  /// enqueue's access list for the checker (scratch).
+  std::vector<std::pair<const mem::DataHandle*, Access>> checker_acc_;
   /// Per-tile access sequence, indexed by mem::DataHandle::id and grown on
   /// first touch (a deque: growth never moves or copies existing records).
   std::deque<HandleSeq> seq_;
   std::vector<DevState> devs_;
-  /// Devices with a non-empty assigned queue (ascending, mirrors DevState).
-  std::set<int> queued_;
+  /// Devices with a non-empty assigned queue: bit g of word g / 64.
+  std::vector<std::uint64_t> queued_;
+  /// fill_all snapshots queued_ on its stack up to this many words (1024
+  /// devices), on the heap beyond.
+  static constexpr std::size_t kQueuedStackWords = 16;
   /// A victim must hold at least this many queued tasks to be stolen from.
   static constexpr std::size_t kStealMinVictim = 2;
   /// Devices holding >= kStealMinVictim queued tasks -- when zero, no

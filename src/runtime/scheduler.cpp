@@ -9,7 +9,7 @@
 
 namespace xkb::rt {
 
-int OwnerComputesScheduler::place(const Task& t, Runtime& rt) {
+XKB_HOT int OwnerComputesScheduler::place(const Task& t, Runtime& rt) {
   Platform& plat = rt.platform();
   // Owner-computes: run where the output tile lives.  The home (set by the
   // 2D block-cyclic default mapping or an explicit distribution) takes
@@ -23,8 +23,9 @@ int OwnerComputesScheduler::place(const Task& t, Runtime& rt) {
       return h->home_device;
     const int dirty = h->dirty_device();
     if (dirty >= 0 && !plat.device_failed(dirty)) return dirty;
-    for (int g : h->valid_devices())
-      if (!plat.device_failed(g)) return g;
+    for (const auto& [g, r] : h->dev)
+      if (r.state == mem::ReplicaState::kValid && !plat.device_failed(g))
+        return g;
   }
   // No located output (e.g. first touch without a home): spread round-robin
   // over the surviving devices.

@@ -15,6 +15,7 @@
 
 #include "mem/handle.hpp"
 #include "trace/facts.hpp"
+#include "util/slab.hpp"
 
 namespace xkb::rt {
 
@@ -65,7 +66,11 @@ struct TaskDesc {
   std::function<void()> on_complete;
 };
 
-/// Internal task record with scheduling state.
+/// Internal task record with scheduling state.  The Runtime keeps its
+/// records in a slab (util::Slab): fixed-size blocks, one record per task
+/// in id order, never moved or freed before the Runtime dies, so engine
+/// callbacks can hold a `Task*`.  The lists below are threaded through the
+/// Runtime's link pools.
 struct Task {
   explicit Task(TaskDesc d) : desc(std::move(d)) {}
 
@@ -74,7 +79,8 @@ struct Task {
 
   // Dependency state.
   int pending_deps = 0;
-  std::vector<Task*> successors;
+  /// Tasks waiting on this one, in the order their edges were added.
+  util::LinkList<Task*> successors;
 
   // Execution state.
   int device = -1;
@@ -88,10 +94,11 @@ struct Task {
   /// cancelled execution cannot complete the re-executed task.
   std::uint32_t epoch = 0;
 
-  /// Version of each operand at completion time (filled by the runtime when
-  /// the task finishes).  A producer replay is only sound while its inputs
-  /// are still at the versions it originally consumed.
-  std::vector<std::uint64_t> access_versions;
+  /// Version of each operand at completion time, in access order (filled
+  /// by the runtime when the task finishes).  A producer replay is only
+  /// sound while its inputs are still at the versions it originally
+  /// consumed.
+  util::LinkList<std::uint64_t> access_versions;
 };
 
 }  // namespace xkb::rt

@@ -554,6 +554,145 @@ TEST(DeviceFailure, WaiterWhoseSourceDiesMidTransferReplansAndCompletes) {
   EXPECT_TRUE(hit) << "no instant caught a waiter mid-chain";
 }
 
+// ----------------------------------------------------------- slab walks --
+
+// The Runtime keeps its task records in slab blocks of kTaskBlock.  Two
+// scans walk every record in id order: the device-failure scan for
+// in-flight work and the watchdog's stuck-task dump.  These runs submit
+// more than three blocks of tasks, so both scans must cross blocks.
+constexpr std::size_t kSpanTasks = 3 * Runtime::kTaskBlock + 40;
+double slab_buf[64 * (kSpanTasks + 8)];
+
+mem::DataHandle* slab_tile(Runtime& rt, std::size_t i, std::size_t n = 8) {
+  return rt.registry().intern(slab_buf + 64 * i, n, n, n, sizeof(double));
+}
+
+TEST(SlabWalks, WatchdogDumpListsTheLowestUndoneTasksFirst) {
+  Platform plat(topo::Topology::dgx1(), PerfModel{}, PlatformOptions{});
+  fault::FaultPlan plan;  // one far-future event: it only arms the watchdog
+  plan.seed = 42;
+  fault::FaultEvent e;
+  e.kind = fault::FaultKind::kBrownout;
+  e.t = 1.0;
+  e.a = 0;
+  e.b = 1;
+  e.fraction = 0.5;
+  e.duration = 0.1;
+  plan.events.push_back(e);
+  fault::Injector inj(plan);
+  plat.set_fault(&inj);
+  // The second block's 45th task never reports its completion, so every
+  // later task, all reading its output, stays undone.
+  const std::uint64_t dropped = Runtime::kTaskBlock + 45;
+  RuntimeOptions ro;
+  ro.check.enabled = true;
+  ro.check.faults.drop_completion_task = dropped;
+  Runtime rt(plat, std::make_unique<OwnerComputesScheduler>(), ro);
+  mem::DataHandle* x = slab_tile(rt, kSpanTasks);
+  for (std::uint64_t id = 1; id <= kSpanTasks; ++id) {
+    TaskDesc d;
+    d.label = id < dropped ? "own" : id == dropped ? "produce" : "read";
+    d.accesses.push_back({id < dropped ? slab_tile(rt, id) : x,
+                          id <= dropped ? Access::kW : Access::kR});
+    d.flops = 1e9;
+    d.min_dim = 8;
+    rt.submit(std::move(d));
+  }
+  std::ostringstream want;
+  // The dropped task itself counts as outstanding: its completion was lost.
+  want << "no observable progress while " << kSpanTasks - dropped + 1
+       << " tasks are outstanding; first stuck tasks:";
+  for (std::uint64_t id = dropped + 1; id <= dropped + 8; ++id)
+    want << "\n  task " << id
+         << " 'read' dev -1 deps=1 operands_missing=0";
+  want << "\n  ...";
+  try {
+    rt.run();
+    FAIL() << "the stalled run finished";
+  } catch (const fault::StuckProgress& stuck) {
+    EXPECT_EQ(stuck.what(), want.str());
+  }
+}
+
+/// Owner-computes placement that records the tasks it places while
+/// `recording` is set.
+struct RecordingScheduler : OwnerComputesScheduler {
+  int place(const Task& t, Runtime& rt) override {
+    if (recording) placed.push_back(t.id);
+    return OwnerComputesScheduler::place(t, rt);
+  }
+  bool recording = false;
+  std::vector<std::uint64_t> placed;
+};
+
+/// kSpanTasks tasks, each writing its own tile and reading one of 8 shared
+/// tiles (so a lost tile's producer is replayable); every 64th output lives
+/// on gpu1, the rest on the other devices.  A task's label is its id.
+struct SlabSpan {
+  static RuntimeOptions checked() {
+    RuntimeOptions ro;
+    ro.check.enabled = true;
+    return ro;
+  }
+  SlabSpan()
+      : plat(topo::Topology::dgx1(), PerfModel{}, PlatformOptions{}),
+        rec(new RecordingScheduler),
+        rt(plat, std::unique_ptr<Scheduler>(rec), checked()) {
+    std::vector<mem::DataHandle*> shared;
+    for (std::size_t i = 0; i < 8; ++i)
+      shared.push_back(slab_tile(rt, kSpanTasks + i, 512));
+    constexpr int kOthers[] = {0, 2, 3, 4, 5, 6, 7};
+    for (std::size_t i = 0; i < kSpanTasks; ++i) {
+      mem::DataHandle* out = slab_tile(rt, i, 512);
+      out->home_device = i % 64 == 1 ? 1 : kOthers[i % 7];
+      TaskDesc d;
+      d.label = std::to_string(i + 1);
+      d.accesses.push_back({out, Access::kW});
+      d.accesses.push_back({shared[i % 8], Access::kR});
+      d.flops = 2e9;
+      d.min_dim = 512;
+      rt.submit(std::move(d));
+    }
+  }
+  Platform plat;
+  RecordingScheduler* rec;  // owned by rt
+  Runtime rt;
+};
+
+TEST(SlabWalks, MidRunDeviceFailureRemapsTheSameTasks) {
+  // Kill gpu1 halfway through its first kernel from the third block on, so
+  // the in-flight scan has work to find past the first two blocks.
+  sim::Time kill = -1.0;
+  {
+    SlabSpan probe;
+    probe.rt.run();
+    for (const trace::Record& r : probe.plat.trace().records())
+      if (r.kind == trace::OpKind::kKernel && r.device == 1 &&
+          std::stoul(r.label) > 2 * Runtime::kTaskBlock) {
+        kill = (r.start + r.end) / 2;
+        break;
+      }
+  }
+  ASSERT_GE(kill, 0.0) << "no kernel from the third block ran on gpu1";
+  SlabSpan f;
+  f.plat.engine().schedule_silent_at(kill, [&f] {
+    f.rec->recording = true;
+    f.rt.on_device_failure(1);
+    f.rec->recording = false;
+  });
+  f.rt.run();
+  EXPECT_EQ(f.rt.tasks_completed(), f.rt.tasks_submitted());
+  EXPECT_TRUE(f.rt.checker()->ok()) << f.rt.checker()->report();
+  // Recorded at a0e9a35, when the records were a vector of unique_ptr
+  // walked in id order: ten producer replays first, then the fourteen
+  // in-flight remaps, from the first, third and fourth blocks.
+  const std::vector<std::uint64_t> want = {
+      809, 810, 811, 812, 813, 814, 815, 816, 817, 818, 53,  54,
+      55,  514, 578, 642, 706, 770, 799, 800, 801, 806, 807, 808};
+  EXPECT_EQ(f.rec->placed, want);
+  EXPECT_EQ(f.rt.task_remaps(), 14u);
+}
+
 // ---------------------------------------------------------------- misc --
 
 TEST(Watchdog, FiresOnceWhenNoProgressHappens) {

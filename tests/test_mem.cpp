@@ -2,8 +2,11 @@
 // capacity accounting and the read-only-first LRU eviction policy.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "mem/cache.hpp"
 #include "mem/registry.hpp"
+#include "util/rng.hpp"
 
 namespace xkb::mem {
 namespace {
@@ -56,6 +59,90 @@ TEST(Registry, ValidAndInflightQueries) {
   EXPECT_EQ(h->inflight_devices(), (std::vector<int>{3}));
   h->dev[1].dirty = true;
   EXPECT_EQ(h->dirty_device(), 1);
+}
+
+// ReplicaMap against the std::map<int, Replica> it replaced, over seeded
+// operations: materialising writes, const reads that must not insert,
+// peek, and ascending iteration.  Every Replica& ever handed out must keep
+// naming its entry across later inserts (LRU links and engine callbacks
+// hold them).  Device ids below 1024 take the map past kLinearProbe
+// entries, into the binary search.
+void replica_map_matches_std_map(int devices, std::uint64_t seed) {
+  ReplicaPool pool;
+  ReplicaMap map(pool);
+  std::map<int, Replica> oracle;
+  std::map<int, Replica*> first_address;
+  Rng rng(seed);
+  for (int step = 0; step < 5000; ++step) {
+    const int g = static_cast<int>(rng.next_below(devices));
+    const auto it = oracle.find(g);
+    switch (rng.next_below(4)) {
+      case 0: {
+        Replica& r = map[g];
+        Replica& o = oracle[g];
+        r.pins = o.pins = step;
+        r.state = o.state = static_cast<ReplicaState>(step % 3);
+        const auto [at, fresh] = first_address.emplace(g, &r);
+        ASSERT_EQ(at->second, &r) << "entry of gpu" << g << " moved, step "
+                                  << step;
+        break;
+      }
+      case 1: {
+        const ReplicaMap& cmap = map;
+        const std::size_t before = map.active();
+        const Replica& r = cmap[g];
+        ASSERT_EQ(map.active(), before) << "const read inserted gpu" << g;
+        ASSERT_EQ(r.pins, it == oracle.end() ? 0 : it->second.pins);
+        ASSERT_EQ(r.state, it == oracle.end() ? ReplicaState::kInvalid
+                                              : it->second.state);
+        break;
+      }
+      case 2: {
+        Replica* r = map.peek(g);
+        ASSERT_EQ(r != nullptr, it != oracle.end()) << "peek gpu" << g;
+        if (r) {
+          ASSERT_EQ(r, first_address.at(g));
+          ASSERT_EQ(r->pins, it->second.pins);
+        }
+        break;
+      }
+      default: {
+        auto o = oracle.begin();
+        for (auto& [d, r] : map) {
+          ASSERT_NE(o, oracle.end()) << "extra entry gpu" << d;
+          ASSERT_EQ(d, o->first) << "iteration order, step " << step;
+          ASSERT_EQ(r.pins, o->second.pins);
+          ASSERT_EQ(&r, first_address.at(d));
+          ++o;
+        }
+        ASSERT_EQ(o, oracle.end()) << "missing entries, step " << step;
+      }
+    }
+  }
+  EXPECT_EQ(map.active(), oracle.size());
+  EXPECT_EQ(pool.size(), oracle.size()) << "one pool entry per device";
+}
+
+TEST(ReplicaMap, MatchesStdMapUpTo8Devices) {
+  replica_map_matches_std_map(8, 11);
+}
+
+TEST(ReplicaMap, MatchesStdMapUpTo1024Devices) {
+  replica_map_matches_std_map(1024, 12);
+}
+
+TEST(ReplicaMap, MapsOfOnePoolShareItsBlocks) {
+  ReplicaPool pool;
+  ReplicaMap a(pool), b(pool);
+  Replica& a3 = a[3];
+  Replica& b3 = b[3];
+  EXPECT_NE(&a3, &b3);
+  for (int g = 0; g < 600; ++g) b[g].pins = g;  // more than two pool blocks
+  EXPECT_EQ(&a[3], &a3);
+  EXPECT_EQ(&b[3], &b3);
+  EXPECT_EQ(a.active(), 1u);
+  EXPECT_EQ(b.active(), 600u);
+  EXPECT_EQ(pool.size(), 601u);
 }
 
 class CacheTest : public ::testing::Test {
