@@ -17,6 +17,15 @@
 // clocks, and an event on lane L joins the clock of the previous event on L
 // before ticking it, so "event e happens-before-or-equals clock C" is
 // exactly `e.clock <= C.at(e.lane)`: an O(log n) test instead of a walk.
+//
+// A clock's entries live in a std::vector, so copying one into an empty
+// clock allocates.  A VectorClock::Pool keeps the buffers of freed clocks:
+// `recycle` empties a clock and hands its buffer to the pool, and `assign`
+// copies a clock into a buffer taken from it.  A buffer enters the pool
+// only from a clock that held it, and `assign` makes a new one only when
+// the pool is empty: when every recycled clock takes its buffer through
+// `assign`, the pool never holds more buffers than the peak number of
+// those clocks live at once.
 #pragma once
 
 #include <algorithm>
@@ -28,7 +37,22 @@
 namespace xkb::check {
 
 class VectorClock {
+  struct Entry {
+    std::uint32_t lane;
+    std::uint64_t value;  ///< never 0
+  };
+
  public:
+  /// Spare entry buffers, empty but with their capacity kept.
+  class Pool {
+   public:
+    std::size_t size() const { return spare_.size(); }
+
+   private:
+    friend class VectorClock;
+    std::vector<std::vector<Entry>> spare_;
+  };
+
   VectorClock() = default;
 
   std::uint64_t at(std::size_t lane) const {
@@ -73,13 +97,31 @@ class VectorClock {
     }
   }
 
-  /// join(o), then free `o`; takes over `o`'s buffer when this is empty.
-  void absorb(VectorClock& o) {
+  /// Become a copy of `o`, in a buffer taken from `pool` when this clock
+  /// holds none.
+  void assign(const VectorClock& o, Pool& pool) {
+    if (e_.capacity() == 0 && !pool.spare_.empty()) {
+      e_.swap(pool.spare_.back());
+      pool.spare_.pop_back();
+    }
+    e_.assign(o.e_.begin(), o.e_.end());
+  }
+
+  /// Empty this clock and hand its buffer, if any, to `pool`.
+  void recycle(Pool& pool) {
+    if (e_.capacity() == 0) return;
+    e_.clear();
+    pool.spare_.push_back(std::move(e_));
+    e_ = {};
+  }
+
+  /// join(o), then recycle `o`; takes over `o`'s buffer when this is empty.
+  void absorb(VectorClock& o, Pool& pool) {
     if (e_.empty())
       e_.swap(o.e_);
     else
       join(o);
-    o = VectorClock{};
+    o.recycle(pool);
   }
 
   /// true iff this clock happens-before-or-equals `o` (componentwise <=).
@@ -99,13 +141,13 @@ class VectorClock {
     for (const Entry& x : e_) f(static_cast<std::size_t>(x.lane), x.value);
   }
 
-  /// The clock whose component l is `dense[l]`.
-  static VectorClock from_dense(const std::vector<std::uint64_t>& dense) {
-    VectorClock c;
+  /// Become the clock whose component l is `dense[l]`, in this clock's
+  /// buffer.
+  void assign_dense(const std::vector<std::uint64_t>& dense) {
+    e_.clear();
     for (std::size_t l = 0; l < dense.size(); ++l)
       if (dense[l] != 0)
-        c.e_.push_back({static_cast<std::uint32_t>(l), dense[l]});
-    return c;
+        e_.push_back({static_cast<std::uint32_t>(l), dense[l]});
   }
 
   /// Dense text, "[c0,c1,...]" up to the highest non-zero lane.
@@ -121,11 +163,6 @@ class VectorClock {
   }
 
  private:
-  struct Entry {
-    std::uint32_t lane;
-    std::uint64_t value;  ///< never 0
-  };
-
   /// First entry of `e` whose lane is not below `lane`.
   template <class Entries>
   static auto find(Entries& e, std::size_t lane) -> decltype(e.begin()) {

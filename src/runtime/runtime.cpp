@@ -134,8 +134,9 @@ Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
 
 void Runtime::enqueue(Task* t) {
   // Dedup in *id* order, never pointer order: sorting Task pointers would
-  // bake heap addresses into pred_ids (an xkb-address-ordering violation)
-  // and force every downstream consumer to re-sort defensively.
+  // bake heap addresses into the checker's predecessor ids (an
+  // xkb-address-ordering violation) and force every downstream consumer to
+  // re-sort defensively.
   std::sort(preds_.begin(), preds_.end(),
             [](const Task* a, const Task* b) { return a->id < b->id; });
   preds_.erase(std::unique(preds_.begin(), preds_.end()), preds_.end());
@@ -148,11 +149,9 @@ void Runtime::enqueue(Task* t) {
     checker_acc_.clear();
     for (const TaskAccess& a : t->desc.accesses)
       checker_acc_.emplace_back(a.handle, a.mode);
-    std::vector<std::uint64_t> pred_ids;
-    pred_ids.reserve(preds_.size());
-    for (Task* p : preds_) pred_ids.push_back(p->id);
-    checker_->on_submit(t->id, t->desc.label, checker_acc_,
-                        std::move(pred_ids));
+    checker_preds_.clear();
+    for (Task* p : preds_) checker_preds_.push_back(p->id);
+    checker_->on_submit(t->id, t->desc.label, checker_acc_, checker_preds_);
   }
   if (watchdog_) watchdog_->ensure_armed();
   if (t->pending_deps == 0) on_ready(t);

@@ -202,8 +202,9 @@ class Runtime {
   util::LinkPool<std::uint64_t, kLinkBlock> versions_;
   /// submit's predecessor scratch, consumed by enqueue.
   std::vector<Task*> preds_;
-  /// enqueue's access list for the checker (scratch).
+  /// enqueue's access list and predecessor ids for the checker (scratch).
   std::vector<std::pair<const mem::DataHandle*, Access>> checker_acc_;
+  std::vector<std::uint64_t> checker_preds_;
   /// Per-tile access sequence, indexed by mem::DataHandle::id and grown on
   /// first touch (a deque: growth never moves or copies existing records).
   std::deque<HandleSeq> seq_;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 
 #include "util/rng.hpp"
 
@@ -186,6 +188,8 @@ ArrivalTrace ArrivalTrace::parse_file(const std::string& path) {
 void ArrivalTrace::validate() const {
   if (tenants.empty())
     throw std::invalid_argument("service trace '" + name + "': no tenants");
+  // A generated trace repeats a handful of specs: parse each one once.
+  std::unordered_set<std::string_view> vetted;
   double last_t = 0.0;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const Arrival& a = arrivals[i];
@@ -200,7 +204,8 @@ void ArrivalTrace::validate() const {
       throw std::invalid_argument("service trace '" + name + "': arrival " +
                                   std::to_string(i) +
                                   " references an unknown tenant");
-    (void)wl::WorkloadSpec::parse(a.spec);  // throws with the spec's message
+    if (vetted.insert(a.spec).second)
+      (void)wl::WorkloadSpec::parse(a.spec);  // throws with the spec's message
   }
 }
 

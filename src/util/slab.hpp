@@ -11,6 +11,12 @@
 // out of a slab of Link nodes.  A released list goes onto a free list in
 // O(1) and its nodes serve the next appends, so a pool's memory follows
 // the number of live links, not the number ever made.
+//
+// ArrayPool<T, N> hands out arrays of 1, 2, 4, ... records to tables that
+// grow by doubling.  An array released on growth goes onto the free list
+// of its size and serves the next table of that size, so a table growing
+// 1 -> 2 -> 4 passes its smaller arrays on instead of freeing them, and no
+// table has to reserve room it may never use.
 #pragma once
 
 #include <cstddef>
@@ -109,9 +115,67 @@ class LinkPool {
     list = {};
   }
 
+  /// Unlink the nodes of `list` whose value satisfies `pred`, keeping the
+  /// others in order, and hand the unlinked ones to the free list.
+  template <class Pred>
+  void erase_if(LinkList<T>& list, Pred pred) {
+    Link<T>* prev = nullptr;
+    for (Link<T>* n = list.head; n;) {
+      Link<T>* const next = n->next;
+      if (pred(n->value)) {
+        (prev ? prev->next : list.head) = next;
+        if (list.tail == n) list.tail = prev;
+        n->next = free_;
+        free_ = n;
+      } else {
+        prev = n;
+      }
+      n = next;
+    }
+  }
+
  private:
   Slab<Link<T>, N> slab_;
   Link<T>* free_ = nullptr;
+};
+
+template <class T, std::size_t N>
+class ArrayPool {
+ public:
+  /// An array of 2^cls records, each in its default state.
+  T* acquire(std::size_t cls) {
+    if (cls >= classes_.size()) classes_.resize(cls + 1);
+    SizeClass& c = classes_[cls];
+    if (!c.free.empty()) {
+      T* p = c.free.back();
+      c.free.pop_back();
+      return p;
+    }
+    const std::size_t len = std::size_t{1} << cls;
+    if (c.left == 0) {
+      // A block holds N records, or one array when an array is larger.
+      c.left = len < N ? N / len : 1;
+      blocks_.push_back(std::make_unique<T[]>(c.left * len));
+      c.next = blocks_.back().get();
+    }
+    T* p = c.next;
+    c.next += len;
+    --c.left;
+    return p;
+  }
+
+  /// Hand back an array that acquire(cls) returned; its records must be
+  /// back in their default state.
+  void release(T* p, std::size_t cls) { classes_[cls].free.push_back(p); }
+
+ private:
+  struct SizeClass {
+    std::vector<T*> free;
+    T* next = nullptr;     ///< next uncarved array of the newest block
+    std::size_t left = 0;  ///< uncarved arrays from `next` on
+  };
+  std::vector<std::unique_ptr<T[]>> blocks_;
+  std::vector<SizeClass> classes_;
 };
 
 }  // namespace xkb::util

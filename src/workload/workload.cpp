@@ -21,9 +21,11 @@ const char* to_string(Generator g) {
   return "?";
 }
 
-std::vector<std::string> generator_names() {
-  return {"trivial", "stencil_1d", "nearest", "fft",
-          "tree",    "random",     "dnn",     "composition"};
+const std::vector<std::string>& generator_names() {
+  static const std::vector<std::string> names = {
+      "trivial", "stencil_1d", "nearest", "fft",
+      "tree",    "random",     "dnn",     "composition"};
+  return names;
 }
 
 double WorkloadGraph::total_flops() const {
@@ -143,7 +145,7 @@ WorkloadSpec WorkloadSpec::parse(const std::string& text) {
   const std::string name = text.substr(0, colon);
 
   bool known = false;
-  const std::vector<std::string> names = generator_names();
+  const std::vector<std::string>& names = generator_names();
   for (std::size_t i = 0; i < names.size(); ++i)
     if (names[i] == name) {
       spec.kind = static_cast<Generator>(i);

@@ -120,7 +120,7 @@ enum class Generator : std::uint8_t {
 const char* to_string(Generator g);
 
 /// All accepted generator names, in declaration order (CLI error messages).
-std::vector<std::string> generator_names();
+const std::vector<std::string>& generator_names();
 
 /// A parsed workload specification, e.g.
 ///   "stencil_1d:width=16,depth=32,flops=5e8,bytes=4194304,seed=7"

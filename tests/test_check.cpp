@@ -370,6 +370,28 @@ TEST(Check, WriterOrderedAfterOneOfTwoReadersNamesTheOther) {
                            s.write_after_read(3, "writer", 2, "reader1")});
 }
 
+// The progress audit's exact text over ids with a gap: the stuck tasks in
+// ascending id order, each with the incomplete predecessors it waits on (a
+// never-submitted id is not one), then the wait-for cycle from the lowest
+// stuck id.
+TEST(Check, ProgressAuditNamesStuckTasksAndTheCycleInIdOrder) {
+  RaceScript s;
+  s.submit(1, "first", Access::kR, {5});
+  s.submit(2, "second", Access::kR, {1});
+  s.submit(5, "fifth", Access::kR, {4, 2});
+  check::StatsView st;
+  st.submitted = 3;
+  s.c.finalize(st);
+  EXPECT_EQ(messages(s.c),
+            (std::vector<std::string>{
+                "engine drained with 3 of 3 tasks incomplete (deadlock or "
+                "dropped completion)\n"
+                "  task 1 'first' waiting on [5]\n"
+                "  task 2 'second' waiting on [1]\n"
+                "  task 5 'fifth' waiting on [2]",
+                "wait-for cycle detected: 1 -> 5 -> 2 -> 1"}));
+}
+
 TEST(Check, WriterOrderedAfterBothReadersIsClean) {
   RaceScript s;
   s.submit(1, "reader0", Access::kR);
@@ -413,16 +435,19 @@ TEST(VectorClock, MatchesADenseReference) {
   constexpr std::size_t kClocks = 6;
   std::vector<check::VectorClock> sparse(kClocks);
   std::vector<DenseClock> dense(kClocks);
+  // Recycled buffers come back through assign and absorb: a clock built in
+  // one must never show an entry of the clock that held it before.
+  check::VectorClock::Pool pool;
   // Mostly a handful of shared lanes so clocks overlap and order each
   // other; now and then any lane, up to the last one.
   auto lane = [&rng] {
     return rng() % 4 == 0 ? static_cast<std::size_t>(rng() % kLanes)
                           : static_cast<std::size_t>(rng() % 8 * 292);
   };
-  std::size_t ordered = 0, unordered = 0;
+  std::size_t ordered = 0, unordered = 0, reused = 0;
   for (int step = 0; step < 20000; ++step) {
     const std::size_t a = rng() % kClocks, b = rng() % kClocks;
-    switch (rng() % 6) {
+    switch (rng() % 9) {
       case 0:
       case 1: {
         const std::size_t l = lane();
@@ -453,10 +478,31 @@ TEST(VectorClock, MatchesADenseReference) {
           dense[a] = DenseClock{};
         }
         break;
+      case 6:
+        sparse[a].recycle(pool);
+        dense[a] = DenseClock{};
+        ASSERT_EQ(sparse[a].to_string(), "[]") << "step " << step;
+        break;
+      case 7:
+        if (a == b) break;
+        if (pool.size() != 0) ++reused;
+        sparse[a].assign(sparse[b], pool);
+        dense[a] = dense[b];
+        ASSERT_EQ(sparse[a].to_string(), dense[a].to_string())
+            << "step " << step;
+        break;
+      case 8:
+        if (a == b) break;
+        sparse[a].absorb(sparse[b], pool);
+        dense[a].join(dense[b]);
+        dense[b] = DenseClock{};
+        ASSERT_EQ(sparse[b].to_string(), "[]") << "step " << step;
+        break;
     }
   }
   EXPECT_GT(ordered, 100u);
   EXPECT_GT(unordered, 100u);
+  EXPECT_GT(reused, 100u);
 }
 
 }  // namespace

@@ -357,6 +357,34 @@ TEST(Trace, ErrorsNameTheLine) {
   EXPECT_THROW(ArrivalTrace::parse("seed 3\n"), std::invalid_argument);
 }
 
+// validate() parses each distinct spec once: a bad spec after a thousand
+// arrivals of one good spec still throws what its own parse throws.
+TEST(Trace, ValidateNamesABadSpecAfterRepeatsOfAGoodOne) {
+  ArrivalTrace tr;
+  tr.tenants.push_back(TenantSpec{});
+  Arrival a;
+  a.spec = "stencil_1d:width=4,depth=3";
+  for (int i = 0; i < 1000; ++i) {
+    a.t = i * 1e-3;
+    tr.arrivals.push_back(a);
+  }
+  a.spec = "stencil_1d:width=4,depth=x";
+  tr.arrivals.push_back(a);
+  std::string expected;
+  try {
+    (void)wl::WorkloadSpec::parse(a.spec);
+  } catch (const std::invalid_argument& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+  try {
+    tr.validate();
+    FAIL() << "the bad spec passed validation";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), expected);
+  }
+}
+
 TEST(Trace, PoissonStreamsAreIndependentOfTenantCount) {
   std::vector<TenantSpec> two(2), three(3);
   const ArrivalTrace a = poisson_trace(11, two, 1000.0, 80);
