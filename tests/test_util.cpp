@@ -5,6 +5,7 @@
 #include "util/flops.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
+#include "util/slab.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -174,6 +175,51 @@ TEST(Flops, RoutineCounts) {
 TEST(Flops, Names) {
   EXPECT_STREQ(blas3_name(Blas3::kGemm), "GEMM");
   EXPECT_STREQ(blas3_name(Blas3::kHer2k), "HER2K");
+}
+
+std::vector<int> values(const util::LinkList<int>& l) {
+  std::vector<int> out;
+  for (const util::Link<int>* n = l.head; n; n = n->next)
+    out.push_back(n->value);
+  return out;
+}
+
+// erase_if keeps the survivors in order and the tail on the last of them,
+// so appends after it land at the end.
+TEST(LinkPool, EraseIfKeepsOrderAndTail) {
+  util::LinkPool<int, 4> pool;
+  util::LinkList<int> l;
+  for (int v = 1; v <= 6; ++v) pool.append(l, v);
+  pool.erase_if(l, [](int v) { return v % 2 == 0; });
+  EXPECT_EQ(values(l), (std::vector<int>{1, 3, 5}));
+  EXPECT_EQ(l.tail->next, nullptr);
+  pool.append(l, 7);
+  EXPECT_EQ(values(l), (std::vector<int>{1, 3, 5, 7}));
+  pool.erase_if(l, [](int v) { return v == 1; });
+  pool.append(l, 8);
+  EXPECT_EQ(values(l), (std::vector<int>{3, 5, 7, 8}));
+  pool.erase_if(l, [](int) { return true; });
+  EXPECT_TRUE(l.empty());
+  EXPECT_EQ(l.tail, nullptr);
+  pool.append(l, 9);
+  EXPECT_EQ(values(l), (std::vector<int>{9}));
+}
+
+// A released array serves the next request of its size; arrays handed out
+// at once never overlap, whether carved from one block or several.
+TEST(ArrayPool, ReleasedArraysServeTheirSizeAgain) {
+  util::ArrayPool<int, 8> pool;
+  int* a = pool.acquire(1);
+  int* b = pool.acquire(1);
+  int* big = pool.acquire(4);  // 16 slots: larger than a block
+  EXPECT_EQ(b, a + 2);
+  for (int i = 0; i < 16; ++i) big[i] = i;
+  a[0] = a[1] = b[0] = b[1] = -1;
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(big[i], i);
+  a[0] = a[1] = 0;
+  pool.release(a, 1);
+  EXPECT_EQ(pool.acquire(1), a);
+  EXPECT_NE(pool.acquire(1), a);
 }
 
 }  // namespace
